@@ -27,7 +27,6 @@ from .gates import (
 )
 from .noise import (
     FidelityMode,
-    NoiseConfig,
     SweepRow,
     default_theta_grid,
     fidelity_sweep,
@@ -65,60 +64,3 @@ from .sim import (
     reduced_density_matrix,
     tensor,
 )
-
-__all__ = [
-    "__version__",
-    "BipartitionParams",
-    "CircuitProgram",
-    "DecompositionTerm",
-    "DickeDecomposition",
-    "EXPANSION_LAYOUT",
-    "ExpansionOutcome",
-    "FidelityMode",
-    "GateSpec",
-    "MeasurementRecord",
-    "NoiseConfig",
-    "ProtocolStats",
-    "RegisterLayout",
-    "StateVector",
-    "SweepRow",
-    "apply_circuit",
-    "apply_gate",
-    "build_d4_prep_circuit",
-    "build_d4_to_d5_circuit",
-    "build_w3_circuit",
-    "build_w3_to_d4_circuit",
-    "circuit_unitary",
-    "decompose_source",
-    "decompose_target",
-    "default_theta_grid",
-    "dicke_state",
-    "drop_qubit",
-    "expansion_premeasurement",
-    "fidelity_pure",
-    "fidelity_sweep",
-    "format_circuit",
-    "gate_unitary",
-    "make_gate",
-    "max_success_probability",
-    "measure_qubit",
-    "new_basis_state",
-    "noisify_circuit",
-    "noisify_gate",
-    "parse_circuit",
-    "postselect",
-    "purity",
-    "reduced_density_matrix",
-    "run_expansion",
-    "run_protocol_stats",
-    "run_recycling",
-    "rx_matrix",
-    "ry_matrix",
-    "tensor",
-    "transfer_ratios",
-    "verify_decomposition",
-    "verify_untouched",
-    "w_state",
-    "wbar_state",
-    "wlike_state",
-]

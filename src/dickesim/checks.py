@@ -22,7 +22,7 @@ from .dicke import (
     wbar_state,
     wlike_state,
 )
-from .noise import FidelityMode, NoiseConfig, fidelity_sweep
+from .noise import FidelityMode, fidelity_sweep
 from .protocols import (
     EXPANSION_LAYOUT,
     build_d4_prep_circuit,
@@ -163,8 +163,7 @@ def run_all_checks() -> list[Check]:
     eq("untouched_commutes", 0.0, commutator, 1e-12)
 
     # Robustness anchors.
-    config = NoiseConfig(fidelity_mode=FidelityMode.POST_SELECTED_SUCCESS)
-    rows = fidelity_sweep([0.0, 0.01, 0.1], config)
+    rows = fidelity_sweep([0.0, 0.01, 0.1], mode=FidelityMode.POST_SELECTED_SUCCESS)
     eq("sweep_fidelity_at_zero", 1.0, rows[0].fidelity, 1e-12)
     ge("sweep_fidelity_at_0.01", 0.99, rows[1].fidelity)
     le("sweep_decay", rows[1].fidelity, rows[2].fidelity)

@@ -10,9 +10,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,36 +26,33 @@ from .dicke import (
     w_state,
 )
 from .gates import format_circuit
-from .noise import FidelityMode, NoiseConfig, fidelity_sweep
-from .protocols import (
-    ProtocolStats,
-    build_d4_prep_circuit,
-    build_w3_circuit,
-    run_protocol_stats,
-)
+from .noise import FidelityMode, fidelity_sweep
+from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_stats
 
-_MODES = {
-    "pre-measurement": FidelityMode.PRE_MEASUREMENT,
-    "post-selected": FidelityMode.POST_SELECTED_SUCCESS,
-}
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Shot counts per measured bitstring, sorted by bitstring."""
+class Table:
+    """Rows under named columns. Floats carry 12 significant digits in both
+    renderings: CSV text, and JSON records through :meth:`RunReport.to_json`."""
 
-    total_shots: int
-    rows: tuple[tuple[str, int, float], ...]
+    columns: tuple[str, ...]
+    rows: list[tuple]
 
-    @classmethod
-    def from_stats(cls, stats: ProtocolStats) -> "Histogram":
-        rows = tuple(
-            (bits, count, count / stats.shots)
-            for bits, count in sorted(stats.counts.items())
-        )
-        if sum(count for _, count, _ in rows) != stats.shots:
-            raise ValueError("histogram counts do not sum to the shot total")
-        return cls(total_shots=stats.shots, rows=rows)
+    def csv(self) -> str:
+        lines = [",".join(self.columns)]
+        for row in self.rows:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+    def records(self) -> list[dict[str, Any]]:
+        return [
+            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(self.columns, row)}
+            for row in self.rows
+        ]
 
 
 @dataclass(frozen=True)
@@ -71,83 +67,47 @@ class RunReport:
     tool_version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "tool_version": self.tool_version,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True, default=Table.records) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dickesim-")
+def _write(args: argparse.Namespace, text: str) -> None:
+    """Write to --out atomically, or to stdout when no path is given."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(args.out))
+    tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
+    # Mode 0o666 less the umask, as a plain open gives (mkstemp would give 0600).
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, args.out)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write to --out atomically, or to stdout when no path is given."""
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _parameters(args: argparse.Namespace) -> dict[str, Any]:
+    """The subcommand's own arguments, as its run report records them."""
+    shared = ("command", "handler", "seed", "out", "format")
+    return {k: v for k, v in vars(args).items() if k not in shared}
 
 
-def _statevector_csv(state) -> str:
-    lines = ["index,bitstring,re,im"]
-    for index, amp in enumerate(state.amplitudes):
-        lines.append(
-            f"{index},{state.bitstring(index)},{_fmt(amp.real)},{_fmt(amp.imag)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _statevector_rows(state) -> list[dict[str, Any]]:
-    return [
-        {
-            "index": index,
-            "bitstring": state.bitstring(index),
-            "re": float(f"{amp.real:.12g}"),
-            "im": float(f"{amp.imag:.12g}"),
-        }
-        for index, amp in enumerate(state.amplitudes)
-    ]
-
-
-def _circuit_rows(circuit) -> list[dict[str, Any]]:
-    return [
-        {
-            "label": g.label,
-            "gate": g.mnemonic(),
-            "controls": [circuit.qubit_labels[c] for c in g.controls],
-            "target": circuit.qubit_labels[g.target],
-            "theta": g.theta,
-        }
-        for g in circuit.gates
-    ]
+def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
+    """Write the run report for --format json, otherwise ``text``; only the
+    requested form is rendered."""
+    if args.format == "json":
+        text = RunReport(args.command, args.seed, _parameters(args), outputs).to_json()
+    elif isinstance(text, Table):
+        text = text.csv()
+    _write(args, text)
 
 
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    states = {
-        "w3": lambda: w_state(3),
-        "d4": lambda: dicke_state(4, 2),
-        "d5-analytic": lambda: dicke_state(5, 3),
-    }
-    circuits = {"w3": build_w3_circuit, "d4": build_d4_prep_circuit}
     if args.emit == "circuit":
+        circuits = {"w3": build_w3_circuit, "d4": build_d4_prep_circuit}
         if args.target not in circuits:
             parser.error(
                 f"no circuit form for {args.target!r} (the 5-qubit state is "
@@ -155,31 +115,30 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 "use --emit statevector"
             )
         circuit = circuits[args.target]()
-        if args.format == "json":
-            report = RunReport(
-                command="prepare",
-                seed=args.seed,
-                parameters={"target": args.target, "emit": "circuit"},
-                outputs={
-                    "qubits": list(circuit.qubit_labels),
-                    "gates": _circuit_rows(circuit),
-                },
-            )
-            _emit(args, report.to_json())
-        else:
-            _emit(args, format_circuit(circuit))
+        gates = [
+            {
+                "label": g.label,
+                "gate": g.mnemonic(),
+                "controls": [circuit.qubit_labels[c] for c in g.controls],
+                "target": circuit.qubit_labels[g.target],
+                "theta": g.theta,
+            }
+            for g in circuit.gates
+        ]
+        outputs = {"qubits": list(circuit.qubit_labels), "gates": gates}
+        _emit(args, outputs, format_circuit(circuit))
         return 0
+    states = {
+        "w3": lambda: w_state(3),
+        "d4": lambda: dicke_state(4, 2),
+        "d5-analytic": lambda: dicke_state(5, 3),
+    }
     state = states[args.target]()
-    if args.format == "json":
-        report = RunReport(
-            command="prepare",
-            seed=args.seed,
-            parameters={"target": args.target, "emit": "statevector"},
-            outputs={"n_qubits": state.n_qubits, "amplitudes": _statevector_rows(state)},
-        )
-        _emit(args, report.to_json())
-    else:
-        _emit(args, _statevector_csv(state))
+    table = Table(
+        ("index", "bitstring", "re", "im"),
+        [(i, state.bitstring(i), a.real, a.imag) for i, a in enumerate(state.amplitudes)],
+    )
+    _emit(args, {"n_qubits": state.n_qubits, "amplitudes": table}, table)
     return 0
 
 
@@ -187,29 +146,20 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.shots < 1:
         parser.error("--shots must be at least 1")
     stats = run_protocol_stats(args.shots, args.seed)
-    histogram = Histogram.from_stats(stats)
-    if args.format == "json":
-        report = RunReport(
-            command="sample",
-            seed=args.seed,
-            parameters={"shots": args.shots},
-            outputs={
-                "total_shots": histogram.total_shots,
-                "successes": stats.successes,
-                "estimated_p_s": float(f"{stats.estimated_success_probability:.12g}"),
-                "reference_p_s": float(f"{5 / 6:.12g}"),
-                "rows": [
-                    {"bitstring": bits, "count": count, "frequency": float(_fmt(freq))}
-                    for bits, count, freq in histogram.rows
-                ],
-            },
-        )
-        _emit(args, report.to_json())
-    else:
-        lines = ["bitstring,count,frequency"]
-        for bits, count, freq in histogram.rows:
-            lines.append(f"{bits},{count},{_fmt(freq)}")
-        _emit(args, "\n".join(lines) + "\n")
+    if sum(stats.counts.values()) != stats.shots:
+        raise ValueError("histogram counts do not sum to the shot total")
+    table = Table(
+        ("bitstring", "count", "frequency"),
+        [(bits, count, count / stats.shots) for bits, count in sorted(stats.counts.items())],
+    )
+    outputs = {
+        "total_shots": stats.shots,
+        "successes": stats.successes,
+        "estimated_p_s": float(_fmt(stats.estimated_success_probability)),
+        "reference_p_s": float(_fmt(5 / 6)),
+        "rows": table,
+    }
+    _emit(args, outputs, table)
     summary = (
         f"shots={stats.shots} successes={stats.successes} "
         f"estimated_p_s={stats.estimated_success_probability:.6f} "
@@ -222,13 +172,7 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _params_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> BipartitionParams:
     try:
-        return BipartitionParams(
-            total=args.total,
-            excitations=args.excitations,
-            accessible=args.accessible,
-            added=args.added,
-            added_excitations=args.added_excitations,
-        )
+        return BipartitionParams(**_parameters(args))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -236,68 +180,27 @@ def _params_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
 def cmd_pmax(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _params_from_args(args, parser)
     probability = max_success_probability(params)
-    text = f"{probability.numerator}/{probability.denominator} ≈ {float(probability):.6f}"
-    if args.format == "json":
-        report = RunReport(
-            command="pmax",
-            seed=args.seed,
-            parameters=vars_of_params(params),
-            outputs={
-                "fraction": f"{probability.numerator}/{probability.denominator}",
-                "decimal": float(f"{float(probability):.12g}"),
-            },
-        )
-        _emit(args, report.to_json())
-    else:
-        _emit(args, text + "\n")
+    fraction = f"{probability.numerator}/{probability.denominator}"
+    outputs = {"fraction": fraction, "decimal": float(_fmt(float(probability)))}
+    _emit(args, outputs, f"{fraction} ≈ {float(probability):.6f}\n")
     return 0
-
-
-def vars_of_params(params: BipartitionParams) -> dict[str, int]:
-    return {
-        "total": params.total,
-        "excitations": params.excitations,
-        "accessible": params.accessible,
-        "added": params.added,
-        "added_excitations": params.added_excitations,
-    }
-
-
-def _decomposition_rows(side: str, decomposition) -> list[dict[str, Any]]:
-    return [
-        {
-            "side": side,
-            "j": t.j,
-            "a_excitations": t.a_excitations,
-            "b_excitations": t.b_excitations,
-            "coefficient": float(_fmt(t.coefficient)),
-            "weight": f"{t.weight.numerator}/{t.weight.denominator}",
-        }
-        for t in decomposition.terms
-    ]
 
 
 def cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _params_from_args(args, parser)
-    rows = _decomposition_rows("source", decompose_source(params))
+    sides = [("source", decompose_source(params))]
     if params.added > 0:
-        rows += _decomposition_rows("target", decompose_target(params))
-    if args.format == "json":
-        report = RunReport(
-            command="decompose",
-            seed=args.seed,
-            parameters=vars_of_params(params),
-            outputs={"rows": rows},
-        )
-        _emit(args, report.to_json())
-    else:
-        lines = ["side,j,a_excitations,b_excitations,coefficient,weight"]
-        for row in rows:
-            lines.append(
-                f"{row['side']},{row['j']},{row['a_excitations']},"
-                f"{row['b_excitations']},{_fmt(row['coefficient'])},{row['weight']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        sides.append(("target", decompose_target(params)))
+    table = Table(
+        ("side", "j", "a_excitations", "b_excitations", "coefficient", "weight"),
+        [
+            (side, t.j, t.a_excitations, t.b_excitations, t.coefficient,
+             f"{t.weight.numerator}/{t.weight.denominator}")
+            for side, decomposition in sides
+            for t in decomposition.terms
+        ],
+    )
+    _emit(args, {"rows": table}, table)
     return 0
 
 
@@ -307,59 +210,27 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.theta_min > args.theta_max:
         parser.error("--theta-min must not exceed --theta-max")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    config = NoiseConfig(fidelity_mode=_MODES[args.mode])
     try:
-        rows = fidelity_sweep(grid, config)
+        rows = fidelity_sweep(grid, mode=FidelityMode(args.mode))
     except ValueError as exc:
         parser.error(str(exc))
-    if args.format == "json":
-        report = RunReport(
-            command="sweep",
-            seed=args.seed,
-            parameters={
-                "theta_min": args.theta_min,
-                "theta_max": args.theta_max,
-                "steps": args.steps,
-                "mode": args.mode,
-            },
-            outputs={
-                "rows": [
-                    {"theta": float(_fmt(r.theta)), "fidelity": float(_fmt(r.fidelity))}
-                    for r in rows
-                ]
-            },
-        )
-        _emit(args, report.to_json())
-    else:
-        lines = ["theta,fidelity"]
-        for row in rows:
-            lines.append(f"{_fmt(row.theta)},{_fmt(row.fidelity)}")
-        _emit(args, "\n".join(lines) + "\n")
+    table = Table(("theta", "fidelity"), rows)
+    _emit(args, {"rows": table}, table)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checks = run_all_checks()
-    all_passed = all(check.passed for check in checks)
+    failed = [check.name for check in checks if not check.passed]
     summary = {
         "checks": [check.to_dict() for check in checks],
-        "all_passed": all_passed,
+        "all_passed": not failed,
         "tool_version": __version__,
     }
-    _emit(args, json.dumps(summary, indent=2) + "\n")
-    if not all_passed:
-        failed = [check.name for check in checks if not check.passed]
+    _write(args, json.dumps(summary, indent=2) + "\n")
+    if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
-        return 3
-    return 0
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
+    return 3 if failed else 0
 
 
 def _u64(text: str) -> int:
@@ -367,6 +238,35 @@ def _u64(text: str) -> int:
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must fit in u64, got {text}")
     return value
+
+
+def _add_common_flags(sub: argparse.ArgumentParser, handler: Callable[..., int]) -> None:
+    sub.set_defaults(handler=handler)
+    sub.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
+    sub.add_argument("--out", default=None, help="output file (default: stdout)")
+    sub.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="output format"
+    )
+
+
+def _add_bipartition_flags(
+    sub: argparse.ArgumentParser, handler: Callable[..., int], added: int
+) -> None:
+    sub.add_argument("--total", type=int, required=True, help="register size")
+    sub.add_argument(
+        "--excitations", type=int, required=True, help="number of |1> qubits"
+    )
+    sub.add_argument(
+        "--accessible", type=int, required=True, help="number of accessible qubits"
+    )
+    sub.add_argument(
+        "--added", type=int, default=added, help="qubits appended by the expansion"
+    )
+    sub.add_argument(
+        "--added-excitations", type=int, default=added,
+        help="appended qubits that end up excited",
+    )
+    _add_common_flags(sub, handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,58 +282,33 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument(
         "--emit", choices=("statevector", "circuit"), default="statevector"
     )
-    _add_common_flags(prepare)
-    prepare.set_defaults(handler=cmd_prepare)
+    _add_common_flags(prepare, cmd_prepare)
 
     sample = subparsers.add_parser("sample", help="seeded shot sampling of the expansion")
     sample.add_argument("--shots", type=int, required=True)
-    _add_common_flags(sample)
-    sample.set_defaults(handler=cmd_sample)
+    _add_common_flags(sample, cmd_sample)
 
-    for name, handler, needs_expansion in (
-        ("pmax", cmd_pmax, True),
-        ("decompose", cmd_decompose, False),
-    ):
-        sub = subparsers.add_parser(
-            name,
-            help=(
-                "exact maximum success probability"
-                if name == "pmax"
-                else "bipartite decomposition coefficients"
-            ),
-        )
-        sub.add_argument("--total", type=int, required=True, help="register size")
-        sub.add_argument(
-            "--excitations", type=int, required=True, help="number of |1> qubits"
-        )
-        sub.add_argument(
-            "--accessible", type=int, required=True, help="number of accessible qubits"
-        )
-        sub.add_argument(
-            "--added", type=int, default=1 if needs_expansion else 0,
-            help="qubits appended by the expansion",
-        )
-        sub.add_argument(
-            "--added-excitations", type=int,
-            default=1 if needs_expansion else 0,
-            help="appended qubits that end up excited",
-        )
-        _add_common_flags(sub)
-        sub.set_defaults(handler=handler)
+    pmax = subparsers.add_parser("pmax", help="exact maximum success probability")
+    _add_bipartition_flags(pmax, cmd_pmax, added=1)
+
+    decompose = subparsers.add_parser(
+        "decompose", help="bipartite decomposition coefficients"
+    )
+    _add_bipartition_flags(decompose, cmd_decompose, added=0)
 
     sweep = subparsers.add_parser("sweep", help="over-rotation fidelity sweep")
     sweep.add_argument("--theta-min", type=float, default=0.0)
     sweep.add_argument("--theta-max", type=float, default=0.1)
     sweep.add_argument("--steps", type=int, default=101)
     sweep.add_argument(
-        "--mode", choices=tuple(_MODES), default="post-selected",
+        "--mode", choices=[m.value for m in FidelityMode],
+        default=FidelityMode.POST_SELECTED_SUCCESS.value,
         help="compare full pre-measurement states or post-selected success branches",
     )
-    _add_common_flags(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
+    _add_common_flags(sweep, cmd_sweep)
 
     verify = subparsers.add_parser("verify", help="run the analytic check suite")
-    _add_common_flags(verify)
+    verify.add_argument("--out", default=None, help="output file (default: stdout)")
     verify.set_defaults(handler=cmd_verify)
 
     return parser

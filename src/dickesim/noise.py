@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,17 +28,7 @@ class FidelityMode(enum.Enum):
     POST_SELECTED_SUCCESS = "post-selected"
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    theta: float = 0.0
-    fidelity_mode: FidelityMode = FidelityMode.POST_SELECTED_SUCCESS
-
-    def __post_init__(self) -> None:
-        _check_angle(self.theta)
-
-
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theta: float
     fidelity: float
 
@@ -84,7 +73,7 @@ def default_theta_grid() -> np.ndarray:
 
 def fidelity_sweep(
     theta_grid: Iterable[float],
-    config: NoiseConfig = NoiseConfig(),
+    mode: FidelityMode = FidelityMode.POST_SELECTED_SUCCESS,
 ) -> list[SweepRow]:
     """Fidelity of the noisy expansion against the ideal one, per grid angle.
 
@@ -102,7 +91,7 @@ def fidelity_sweep(
     source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
     ideal = apply_circuit(source, circuit)
-    post_selected = config.fidelity_mode is FidelityMode.POST_SELECTED_SUCCESS
+    post_selected = mode is FidelityMode.POST_SELECTED_SUCCESS
     if post_selected:
         _, ideal = postselect(ideal, flag, 0)
     rows = []

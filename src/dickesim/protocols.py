@@ -31,6 +31,7 @@ from .sim import (
     drop_qubit,
     measure_qubit,
     new_basis_state,
+    purity,
     reduced_density_matrix,
     tensor,
 )
@@ -46,18 +47,7 @@ class RegisterLayout:
     """Labeled register of the restricted-access expansion circuit."""
 
     labels: tuple[str, ...] = ("d1", "d2", "d3", "d4", "a1", "a2")
-    untouched: frozenset[str] = frozenset({"d4"})
     flag: str = "a2"
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("register labels must be distinct")
-        if self.flag not in self.labels:
-            raise ValueError(f"flag {self.flag!r} not in register")
-        if not self.untouched <= set(self.labels):
-            raise ValueError("untouched labels must be register labels")
-        if self.flag in self.untouched:
-            raise ValueError("the flag qubit cannot be untouched")
 
     def index(self, label: str) -> int:
         try:
@@ -181,13 +171,12 @@ class ExpansionOutcome:
 def _pure_factor(state: StateVector, keep: tuple[int, ...]) -> tuple[StateVector, float]:
     """Dominant eigenvector of the reduced state on ``keep`` and its purity."""
     rho = reduced_density_matrix(state, keep)
-    pur = float(np.trace(rho @ rho).real)
     _, vectors = np.linalg.eigh(rho)
     vec = vectors[:, -1]
     anchor = int(np.argmax(np.abs(vec)))
     vec = vec * (abs(vec[anchor]) / vec[anchor])
     vec = vec / np.linalg.norm(vec)
-    return StateVector(len(keep), vec), pur
+    return StateVector(len(keep), vec), purity(rho)
 
 
 def expansion_premeasurement(state: StateVector) -> StateVector:

@@ -12,7 +12,6 @@ from conftest import random_named_circuit, random_state
 from dickesim import (
     BipartitionParams,
     FidelityMode,
-    NoiseConfig,
     apply_circuit,
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
@@ -139,8 +138,7 @@ def test_criterion_7_monte_carlo_statistics():
 def test_criterion_8_robustness_anchors():
     """Fidelity sweep anchors in the pinned (post-selected) mode; the full
     101-point curve is produced as data."""
-    config = NoiseConfig(fidelity_mode=FidelityMode.POST_SELECTED_SUCCESS)
-    rows = fidelity_sweep(np.linspace(0.0, 0.1, 101), config)
+    rows = fidelity_sweep(np.linspace(0.0, 0.1, 101), mode=FidelityMode.POST_SELECTED_SUCCESS)
     assert len(rows) == 101
     by_theta = {round(row.theta, 10): row.fidelity for row in rows}
     assert abs(by_theta[0.0] - 1.0) <= 1e-12

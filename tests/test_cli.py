@@ -1,6 +1,8 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -243,6 +245,29 @@ def test_verify_reports_failures_with_exit_code_3(capsys, monkeypatch):
     assert report["checks"][0]["expected"] == 1.0
     assert report["checks"][0]["actual"] == 0.5
     assert "tampered_fixture" in captured.err
+
+
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "1"]])
+def test_verify_rejects_format_and_seed(flag):
+    assert run_cli(["verify", *flag]) == 2
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],
+                         ids=["umask022", "umask002"])
+def test_out_file_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    out = tmp_path / "pmax.txt"
+    previous = os.umask(umask)
+    try:
+        code = run_cli(["pmax", "--total", "4", "--excitations", "2",
+                        "--accessible", "3", "--out", str(out)])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from dickesim import (
     FidelityMode,
-    NoiseConfig,
     build_d4_to_d5_circuit,
     default_theta_grid,
     fidelity_sweep,
@@ -44,8 +43,6 @@ def test_noisified_gates_stay_unitary():
 def test_angle_bounds():
     with pytest.raises(ValueError):
         noisify_gate(gates.cnot(0, 1), 3.5)
-    with pytest.raises(ValueError):
-        NoiseConfig(theta=math.nan)
     with pytest.raises(ValueError):
         fidelity_sweep([0.0, 4.0])
 
@@ -87,26 +84,26 @@ def test_repeated_noisification_accumulates_the_angle():
 
 def test_sweep_fidelity_at_zero_is_one():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.0], NoiseConfig(fidelity_mode=mode))
+        rows = fidelity_sweep([0.0], mode=mode)
         assert rows[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_anchor_at_0_01():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.01], NoiseConfig(fidelity_mode=mode))
+        rows = fidelity_sweep([0.01], mode=mode)
         assert rows[0].fidelity >= 0.99
 
 
 def test_sweep_decays_from_0_01_to_0_1():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.01, 0.1], NoiseConfig(fidelity_mode=mode))
+        rows = fidelity_sweep([0.01, 0.1], mode=mode)
         assert rows[1].fidelity <= rows[0].fidelity
 
 
 def test_sweep_fidelity_ceiling():
     grid = [-math.pi, -1.0, -0.3, 0.3, 1.0, math.pi]
     for mode in FidelityMode:
-        for row in fidelity_sweep(grid, NoiseConfig(fidelity_mode=mode)):
+        for row in fidelity_sweep(grid, mode=mode):
             assert 0.0 <= row.fidelity <= 1.0 + 1e-12
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dickesim import (
-    RegisterLayout,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -99,13 +98,6 @@ def test_combined_preparation_has_six_two_qubit_gates():
 
 # ---------------------------------------------------------------------------
 # restricted-access expansion circuit structure
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError, match="flag"):
-        RegisterLayout(labels=("a", "b"), untouched=frozenset(), flag="z")
-    with pytest.raises(ValueError, match="untouched"):
-        RegisterLayout(labels=("a", "b"), untouched=frozenset({"b"}), flag="b")
 
 
 def test_untouched_qubit_is_never_referenced():
