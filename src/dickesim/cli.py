@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,12 @@ from .dicke import (
 from .gates import format_circuit
 from .noise import FidelityMode, fidelity_sweep
 from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_stats
+
+
+# Upper limits on work requested from the command line; larger values exit 2
+# instead of running for hours or failing to allocate.
+MAX_SHOTS = 10**9  # about 80 s of sampling at ~80 ns per shot
+MAX_STEPS = 100_000  # about 2.5 min at ~1.4 ms per angle
 
 
 def _fmt(x: float) -> str:
@@ -143,8 +150,8 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.shots < 1:
-        parser.error("--shots must be at least 1")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        parser.error(f"--shots must be between 1 and {MAX_SHOTS}")
     stats = run_protocol_stats(args.shots, args.seed)
     if sum(stats.counts.values()) != stats.shots:
         raise ValueError("histogram counts do not sum to the shot total")
@@ -152,18 +159,26 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         ("bitstring", "count", "frequency"),
         [(bits, count, count / stats.shots) for bits, count in sorted(stats.counts.items())],
     )
+    # Binomial standard error at the reference p, so that a single shot
+    # (estimate 0 or 1) still gives a finite z-score.
+    p_ref = 5 / 6
+    p_hat = stats.estimated_success_probability
+    stderr = math.sqrt(p_ref * (1 - p_ref) / stats.shots)
+    z = (p_hat - p_ref) / stderr
     outputs = {
         "total_shots": stats.shots,
         "successes": stats.successes,
-        "estimated_p_s": float(_fmt(stats.estimated_success_probability)),
-        "reference_p_s": float(_fmt(5 / 6)),
+        "estimated_p_s": float(_fmt(p_hat)),
+        "reference_p_s": float(_fmt(p_ref)),
+        "p_s_stderr": float(_fmt(stderr)),
+        "p_s_z": float(_fmt(z)),
         "rows": table,
     }
     _emit(args, outputs, table)
     summary = (
         f"shots={stats.shots} successes={stats.successes} "
-        f"estimated_p_s={stats.estimated_success_probability:.6f} "
-        f"(reference 5/6 = {_fmt(5 / 6)})"
+        f"estimated_p_s={p_hat:.6f} p_s_stderr={stderr:.6f} p_s_z={z:.3f} "
+        f"(reference 5/6 = {_fmt(p_ref)})"
     )
     # Keep stdout machine-readable when the table itself goes to stdout.
     print(summary, file=sys.stdout if args.out else sys.stderr)
@@ -205,8 +220,8 @@ def cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.steps < 2:
-        parser.error("--steps must be at least 2")
+    if not 2 <= args.steps <= MAX_STEPS:
+        parser.error(f"--steps must be between 2 and {MAX_STEPS}")
     if args.theta_min > args.theta_max:
         parser.error("--theta-min must not exceed --theta-max")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)

@@ -117,6 +117,12 @@ def test_sample_rejects_zero_shots():
     assert run_cli(["sample", "--shots", "0"]) == 2
 
 
+@pytest.mark.parametrize("shots", ["1000000001", "100000000000000000000000"])
+def test_sample_rejects_more_than_max_shots(shots, capsys):
+    assert run_cli(["sample", "--shots", shots]) == 2
+    assert "--shots must be between 1 and 1000000000" in capsys.readouterr().err
+
+
 def test_sample_unwritable_path():
     code = run_cli(
         ["sample", "--shots", "1", "--out", "/nonexistent-dir/deep/h.csv"]
@@ -131,6 +137,19 @@ def test_sample_json_report(capsys):
     assert report["seed"] == 11
     assert report["outputs"]["total_shots"] == 50
     assert sum(r["count"] for r in report["outputs"]["rows"]) == 50
+
+
+@pytest.mark.parametrize("shots", ["1", "777"])
+def test_sample_reports_standard_error_and_z_score(shots, capsys):
+    assert run_cli(["sample", "--shots", shots, "--seed", "8", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    outputs = json.loads(captured.out)["outputs"]
+    n, successes = outputs["total_shots"], outputs["successes"]
+    stderr = math.sqrt((5 / 6) * (1 / 6) / n)
+    z = (successes / n - 5 / 6) / stderr
+    assert outputs["p_s_stderr"] == float(f"{stderr:.12g}")
+    assert outputs["p_s_z"] == float(f"{z:.12g}")
+    assert f"p_s_stderr={stderr:.6f} p_s_z={z:.3f}" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +226,12 @@ def test_sweep_rejects_bad_ranges():
     assert run_cli(["sweep", "--steps", "1"]) == 2
     assert run_cli(["sweep", "--theta-min", "0.2", "--theta-max", "0.1"]) == 2
     assert run_cli(["sweep", "--theta-max", "4.0"]) == 2
+
+
+def test_sweep_rejects_more_than_max_steps(capsys):
+    assert run_cli(["sweep", "--steps", "100001"]) == 2
+    assert run_cli(["sweep", "--steps", "100000000000000"]) == 2
+    assert "--steps must be between 2 and 100000" in capsys.readouterr().err
 
 
 def test_sweep_modes_differ(tmp_path):

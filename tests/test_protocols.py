@@ -26,7 +26,7 @@ from dickesim import (
     w_state,
     wlike_state,
 )
-from dickesim import gates
+from dickesim import gates, protocols
 from dickesim.gates import CircuitProgram
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -276,3 +276,30 @@ def test_stats_seed_changes_outcomes():
     a = run_protocol_stats(500, seed=1)
     b = run_protocol_stats(500, seed=2)
     assert a.counts != b.counts
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024, 1 << 17])
+def test_stats_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    reference = run_protocol_stats(123457, seed=31)
+    monkeypatch.setattr(protocols, "SHOT_CHUNK", chunk)
+    stats = run_protocol_stats(123457, seed=31)
+    assert stats.counts == reference.counts
+    assert stats.successes == reference.successes
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_shot_outcome_is_a_function_of_seed_and_index(seed):
+    """Shot i's uniform is reached directly: advance a fresh Philox(key=seed)
+    by i // 4 counter blocks and take draw i % 4 of the next four."""
+    pre = expansion_premeasurement(dicke_state(4, 2))
+    cdf = np.cumsum(np.abs(pre.amplitudes) ** 2)
+    cdf[-1] = 1.0
+    for i in (0, 3, 4, 1023, 1024, 2049):
+        bit_generator = np.random.Philox(key=seed)
+        bit_generator.advance(i // 4)
+        uniform = np.random.Generator(bit_generator).random(i % 4 + 1)[-1]
+        expected = pre.bitstring(int(np.searchsorted(cdf, uniform, side="right")))
+        before = run_protocol_stats(i, seed).counts if i else {}
+        after = run_protocol_stats(i + 1, seed).counts
+        shot = {b: c - before.get(b, 0) for b, c in after.items() if c != before.get(b, 0)}
+        assert shot == {expected: 1}, i
