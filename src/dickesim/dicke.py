@@ -28,12 +28,15 @@ def dicke_state(n: int, k: int) -> StateVector:
         raise ValueError("need at least one qubit")
     if not 0 <= k <= n:
         raise ValueError(f"excitation count {k} outside [0, {n}]")
-    amps = np.zeros(1 << n, dtype=complex)
-    weight = 1.0 / math.sqrt(math.comb(n, k))
-    for index in range(1 << n):
-        if index.bit_count() == k:
-            amps[index] = weight
-    return StateVector(n, amps)
+    return StateVector(n, _dicke_tensor(n, k).reshape(-1))
+
+
+def _dicke_tensor(n: int, k: int) -> np.ndarray:
+    """Real amplitudes of D(n, k) as a ``(2,) * n`` tensor; n may be 0."""
+    weights = np.zeros((), dtype=np.uint8)  # Hamming weight of every basis string
+    for _ in range(n):
+        weights = np.add.outer(weights, np.array([0, 1], dtype=np.uint8))
+    return np.where(weights == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
 
 
 def w_state(n: int) -> StateVector:
@@ -146,9 +149,6 @@ class DickeDecomposition:
         if sum(t.weight for t in self.terms) != 1:
             raise ValueError("decomposition weights do not sum to 1")
 
-    def coefficients(self) -> list[tuple[int, float]]:
-        return [(t.j, t.coefficient) for t in self.terms]
-
 
 def _decomposition(
     a_size: int, b_size: int, total_excitations: int, alpha: int, beta: int
@@ -240,9 +240,9 @@ def verify_decomposition(
 ) -> bool:
     """Check that ``state`` equals sum_j c_j |D_A^{M-j}> (x) |D_B^{j}>.
 
-    A keeps the relative order of ``a_indices``; B follows. The comparison
-    rebuilds the expected amplitudes by brute-force tensor expansion and
-    requires agreement within ``atol`` per amplitude.
+    A keeps the relative order of ``a_indices``; B follows. The expected
+    ``(2,) * n`` tensor is built as sum_j c_j D_A (x) D_B, its axes are moved
+    onto ``a_indices + b_indices``, and every amplitude must agree within ``atol``.
     """
     a_indices = list(a_indices)
     b_indices = list(b_indices)
@@ -254,18 +254,9 @@ def verify_decomposition(
             f"split sizes ({len(a_indices)}, {len(b_indices)}) do not match "
             f"decomposition sizes ({decomposition.a_size}, {decomposition.b_size})"
         )
-    by_b_weight = {t.j: t for t in decomposition.terms}
-    for index in range(1 << n):
-        weight_a = sum(state.bit(index, q) for q in a_indices)
-        weight_b = sum(state.bit(index, q) for q in b_indices)
-        term = by_b_weight.get(weight_b)
-        if term is not None and term.a_excitations == weight_a:
-            expected = term.coefficient / math.sqrt(
-                math.comb(decomposition.a_size, weight_a)
-                * math.comb(decomposition.b_size, weight_b)
-            )
-        else:
-            expected = 0.0
-        if abs(state.amplitudes[index] - expected) > atol:
-            return False
-    return True
+    expected = np.zeros((2,) * n)
+    for t in decomposition.terms:
+        d_a, d_b = _dicke_tensor(len(a_indices), t.a_excitations), _dicke_tensor(len(b_indices), t.j)
+        expected += t.coefficient * np.multiply.outer(d_a, d_b)
+    expected = np.moveaxis(expected, range(n), a_indices + b_indices)
+    return bool(np.all(np.abs(state.amplitudes.reshape((2,) * n) - expected) <= atol))

@@ -135,10 +135,6 @@ def x(target: int, label: str = "") -> GateSpec:
     return make_gate("X", (), target, label=label)
 
 
-def rx(theta: float, target: int, label: str = "") -> GateSpec:
-    return make_gate("RX", (), target, theta=theta, label=label)
-
-
 def ry(theta: float, target: int, label: str = "") -> GateSpec:
     return make_gate("RY", (), target, theta=theta, label=label)
 

@@ -90,50 +90,61 @@ def _check_gate_fits(gate: GateSpec, n_qubits: int) -> None:
         )
 
 
+def _axis_index(n_qubits: int, fixed: Sequence[tuple[int, int]]) -> tuple:
+    """Index into the ``(2,) * n_qubits`` view of a state that fixes the axis
+    of each ``(qubit, bit)`` pair to that bit and keeps every other axis whole."""
+    index: list = [slice(None)] * n_qubits
+    for qubit, bit in fixed:
+        index[qubit] = bit
+    return (..., *index)  # the Ellipsis keeps a fully fixed index a 0-d array view
+
+
+def _evolve(state: StateVector, gates: Sequence[GateSpec]) -> np.ndarray:
+    """Copy the amplitudes once, apply ``gates`` in order to the ``(2,) * n``
+    view in place, and return the flat result.
+
+    Each gate rewrites the two slices where every control axis is 1 and the
+    target axis is 0 or 1; all other amplitudes are copied bit-identically.
+    """
+    n = state.n_qubits
+    psi = state.amplitudes.reshape((2,) * n).copy()
+    for gate in gates:
+        fixed = [(c, 1) for c in gate.controls]
+        zero = _axis_index(n, fixed + [(gate.target, 0)])
+        one = _axis_index(n, fixed + [(gate.target, 1)])
+        u, a0, a1 = gate.matrix, psi[zero], psi[one]
+        psi[zero], psi[one] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
+    return psi.reshape(-1)
+
+
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     """Apply the target unitary where every control bit is 1.
 
     Amplitudes whose control bits are not all 1 are copied bit-identically.
     """
-    n = state.n_qubits
-    _check_gate_fits(gate, n)
-    amps = state.amplitudes.copy()
-    target_bit = 1 << (n - 1 - gate.target)
-    control_mask = 0
-    for c in gate.controls:
-        control_mask |= 1 << (n - 1 - c)
-    indices = np.arange(amps.size)
-    lower = indices[
-        ((indices & target_bit) == 0) & ((indices & control_mask) == control_mask)
-    ]
-    upper = lower | target_bit
-    u = gate.matrix
-    a0 = amps[lower]
-    a1 = amps[upper]
-    amps[lower] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[upper] = u[1, 0] * a0 + u[1, 1] * a1
-    return StateVector(n, amps)
+    _check_gate_fits(gate, state.n_qubits)
+    return StateVector(state.n_qubits, _evolve(state, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: CircuitProgram) -> StateVector:
-    """Left-to-right fold of :func:`apply_gate` over the circuit's gates."""
+    """Apply the circuit's gates left to right; the result is validated once,
+    not after every gate."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n_qubits}"
         )
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+    return StateVector(state.n_qubits, _evolve(state, circuit.gates))
 
 
-def _outcome_mask(n_qubits: int, qubit: int, outcome: int) -> np.ndarray:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
+def _branch(state: StateVector, qubit: int, outcome: int) -> tuple[np.ndarray, tuple]:
+    """The ``(2,) * n`` view of ``state`` and the index of its branch
+    ``qubit == outcome``."""
+    if not 0 <= qubit < state.n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    bit = 1 << (n_qubits - 1 - qubit)
-    indices = np.arange(1 << n_qubits)
-    return (indices & bit == bit) if outcome else (indices & bit == 0)
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    return psi, _axis_index(state.n_qubits, [(qubit, outcome)])
 
 
 def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -142,14 +153,15 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
     Returns ``(probability, collapsed_state)``. Raises if the branch
     probability is below the impossible-branch threshold.
     """
-    mask = _outcome_mask(state.n_qubits, qubit, outcome)
-    prob = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    psi, branch = _branch(state, qubit, outcome)
+    prob = float(np.sum(np.abs(psi[branch]) ** 2))
     if prob < IMPOSSIBLE_BRANCH:
         raise ValueError(
             f"outcome {outcome} on qubit {qubit} has probability {prob!r}"
         )
-    amps = np.where(mask, state.amplitudes / math.sqrt(prob), 0.0)
-    return prob, StateVector(state.n_qubits, amps)
+    amps = np.zeros_like(psi)
+    amps[branch] = psi[branch] / math.sqrt(prob)
+    return prob, StateVector(state.n_qubits, amps.reshape(-1))
 
 
 def measure_qubit(
@@ -162,8 +174,8 @@ def measure_qubit(
     """
     if not 0.0 <= uniform_random < 1.0:
         raise ValueError(f"uniform_random must lie in [0, 1), got {uniform_random!r}")
-    mask0 = _outcome_mask(state.n_qubits, qubit, 0)
-    p0 = float(np.sum(np.abs(state.amplitudes[mask0]) ** 2))
+    psi, branch0 = _branch(state, qubit, 0)
+    p0 = float(np.sum(np.abs(psi[branch0]) ** 2))
     if p0 < IMPOSSIBLE_BRANCH:
         outcome = 1
     elif 1.0 - p0 < IMPOSSIBLE_BRANCH:
@@ -177,13 +189,14 @@ def measure_qubit(
 
 def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
     """Remove a qubit known to be exactly |outcome> (e.g. after postselect)."""
-    mask = _outcome_mask(state.n_qubits, qubit, outcome)
-    leftover = float(np.max(np.abs(state.amplitudes[~mask]), initial=0.0))
+    psi, kept = _branch(state, qubit, outcome)
+    other = psi[_axis_index(state.n_qubits, [(qubit, 1 - outcome)])]
+    leftover = float(np.max(np.abs(other), initial=0.0))
     if leftover > 1e-9:
         raise ValueError(
             f"qubit {qubit} is not in |{outcome}>: residual amplitude {leftover!r}"
         )
-    return StateVector(state.n_qubits - 1, state.amplitudes[mask])
+    return StateVector(state.n_qubits - 1, psi[kept].reshape(-1))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
@@ -219,7 +232,7 @@ def purity(rho: np.ndarray) -> float:
 def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n matrix of one gate, assembled from Kronecker factors.
 
-    Independent of :func:`apply_gate`'s index arithmetic, so the two paths
+    Independent of :func:`apply_gate`'s axis slicing, so the two paths
     cross-check each other: the full matrix is I + (U - I)_target (x) P1_controls.
     """
     _check_gate_fits(gate, n_qubits)

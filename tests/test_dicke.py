@@ -7,6 +7,8 @@ import pytest
 
 from dickesim import (
     BipartitionParams,
+    DecompositionTerm,
+    DickeDecomposition,
     StateVector,
     apply_gate,
     decompose_source,
@@ -57,6 +59,14 @@ def test_dicke_4_2_support_and_amplitude():
 def test_dicke_zero_excitations():
     state = dicke_state(3, 0)
     assert state.amplitudes[0] == 1
+
+
+def test_dicke_state_matches_bit_count_loop():
+    for n in range(1, 9):
+        for k in range(n + 1):
+            expected = np.zeros(1 << n, dtype=complex)
+            expected[hamming_indices(n, k)] = 1 / math.sqrt(math.comb(n, k))
+            np.testing.assert_array_equal(dicke_state(n, k).amplitudes, expected)
 
 
 def test_dicke_single_excitation_is_w_state():
@@ -280,7 +290,7 @@ def test_exhaustive_decomposition_sweep():
     # every split of every Dicke state on up to six qubits
     for total in range(2, 7):
         for excitations in range(total + 1):
-            for accessible in range(1, total):
+            for accessible in range(total + 1):
                 params = BipartitionParams(
                     total=total, excitations=excitations, accessible=accessible
                 )
@@ -288,3 +298,40 @@ def test_exhaustive_decomposition_sweep():
                 a = tuple(range(accessible))
                 b = tuple(range(accessible, total))
                 assert verify_decomposition(state, a, b, decompose_source(params))
+
+
+def state_from_strings(amplitudes):
+    """StateVector from a {bitstring: amplitude} map, qubit 0 leftmost."""
+    n = len(next(iter(amplitudes)))
+    amps = np.zeros(1 << n, dtype=complex)
+    for bits, amplitude in amplitudes.items():
+        amps[int(bits, 2)] = amplitude
+    return StateVector(n, amps)
+
+
+def test_verify_uses_the_split_it_is_given():
+    # |D_A^1>|0>_B with A of two qubits: the excitation must sit on A, so only
+    # splits that put the |0> qubit into B match (Dicke states alone are
+    # symmetric under qubit permutation and cannot tell splits apart).
+    decomposition = DickeDecomposition(2, 1, 0, 0, (DecompositionTerm(0, 1, 1.0, Fraction(1)),))
+    state = state_from_strings({"010": 1 / math.sqrt(2), "001": 1 / math.sqrt(2)})
+    assert verify_decomposition(state, (1, 2), (0,), decomposition)
+    assert verify_decomposition(state, (2, 1), (0,), decomposition)
+    assert not verify_decomposition(state, (0, 1), (2,), decomposition)
+    assert not verify_decomposition(state, (0, 2), (1,), decomposition)
+
+    # sqrt(1/3) |D_A^2>|D_B^0> + sqrt(2/3) |D_A^1>|D_B^1> with A = (1, 3), B = (0, 2)
+    terms = (
+        DecompositionTerm(0, 2, math.sqrt(1 / 3), Fraction(1, 3)),
+        DecompositionTerm(1, 1, math.sqrt(2 / 3), Fraction(2, 3)),
+    )
+    decomposition = DickeDecomposition(2, 2, 0, 1, terms)
+    cross = math.sqrt(2 / 3) / 2
+    state = state_from_strings({
+        "0101": math.sqrt(1 / 3),
+        "1100": cross, "1001": cross, "0110": cross, "0011": cross,
+    })
+    assert verify_decomposition(state, (1, 3), (0, 2), decomposition)
+    assert verify_decomposition(state, (3, 1), (2, 0), decomposition)
+    assert not verify_decomposition(state, (0, 1), (2, 3), decomposition)
+    assert not verify_decomposition(state, (0, 2), (1, 3), decomposition)

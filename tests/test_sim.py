@@ -122,6 +122,22 @@ def test_norm_preserved_for_random_gates():
         assert abs(np.linalg.norm(state.amplitudes) - 1) <= 1e-12
 
 
+def test_apply_circuit_validates_once(monkeypatch):
+    # one StateVector for the result, not one per gate
+    rng = np.random.default_rng(23)
+    state = random_state(rng, 4)
+    circuit = random_named_circuit(rng, 4, 20)
+    expected = state
+    for gate in circuit.gates:
+        expected = apply_gate(expected, gate)
+    built = []
+    check = StateVector.__post_init__
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: (built.append(self), check(self)))
+    evolved = apply_circuit(state, circuit)
+    assert built == [evolved]
+    assert np.array_equal(evolved.amplitudes, expected.amplitudes)
+
+
 def test_control_locality_is_exact():
     # amplitudes whose control bits are not all 1 must be copied bit-identically
     rng = np.random.default_rng(11)
@@ -198,6 +214,30 @@ def test_drop_qubit_requires_pure_factor():
         drop_qubit(plus, 0, 0)
     dropped = drop_qubit(new_basis_state(2, "01"), 1, 1)
     assert np.array_equal(dropped.amplitudes, [1, 0])
+
+
+def test_branch_selection_on_every_qubit():
+    # postselect and drop_qubit against bit arithmetic on the flat index
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        for _ in range(3):
+            state = random_state(rng, n)
+            for qubit in range(n):
+                shift = n - 1 - qubit
+                for outcome in (0, 1):
+                    kept = [i for i in range(1 << n) if (i >> shift) & 1 == outcome]
+                    prob = sum(abs(state.amplitudes[i]) ** 2 for i in kept)
+                    expected = np.zeros(1 << n, dtype=complex)
+                    expected[kept] = state.amplitudes[kept] / math.sqrt(prob)
+                    probability, collapsed = postselect(state, qubit, outcome)
+                    assert probability == pytest.approx(prob, abs=1e-12)
+                    np.testing.assert_allclose(collapsed.amplitudes, expected, atol=1e-12)
+                    dropped = drop_qubit(collapsed, qubit, outcome)
+                    assert dropped.n_qubits == n - 1
+                    for i in kept:
+                        low = i & ((1 << shift) - 1)
+                        j = ((i >> (shift + 1)) << shift) | low
+                        assert dropped.amplitudes[j] == collapsed.amplitudes[i]
 
 
 # ---------------------------------------------------------------------------
