@@ -34,7 +34,7 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # Upper limits on work requested from the command line; larger values exit 2
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # about 80 s of sampling at ~80 ns per shot
-MAX_STEPS = 100_000  # about 2.5 min at ~1.4 ms per angle
+MAX_STEPS = 100_000  # about 7-8 s end to end, ~70 us per angle
 
 
 def _fmt(x: float) -> str:

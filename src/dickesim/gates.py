@@ -46,11 +46,13 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 
 def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+    """True iff ``matrix``, or every matrix of a ``(..., d, d)`` stack, is
+    unitary within ``atol``."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         return False
-    eye = np.eye(matrix.shape[0])
-    return bool(np.max(np.abs(matrix.conj().T @ matrix - eye)) <= atol)
+    eye = np.eye(matrix.shape[-1])
+    return bool(np.max(np.abs(np.swapaxes(matrix.conj(), -1, -2) @ matrix - eye)) <= atol)
 
 
 @dataclass(frozen=True, eq=False)

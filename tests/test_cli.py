@@ -234,6 +234,12 @@ def test_sweep_rejects_more_than_max_steps(capsys):
     assert "--steps must be between 2 and 100000" in capsys.readouterr().err
 
 
+def test_sweep_rejects_nan_angles(capsys):
+    assert run_cli(["sweep", "--theta-min", "nan"]) == 2
+    assert run_cli(["sweep", "--theta-max", "nan"]) == 2
+    assert "over-rotation angle must be finite" in capsys.readouterr().err
+
+
 def test_sweep_modes_differ(tmp_path):
     pre = tmp_path / "pre.csv"
     post = tmp_path / "post.csv"
@@ -270,6 +276,16 @@ def test_verify_reports_failures_with_exit_code_3(capsys, monkeypatch):
     assert report["checks"][0]["expected"] == 1.0
     assert report["checks"][0]["actual"] == 0.5
     assert "tampered_fixture" in captured.err
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_oracle_check_passes_at_any_chunk_size(monkeypatch, chunk):
+    # 7 does not divide the 64 basis columns, so the last chunk is shorter
+    from dickesim import checks, sim
+
+    monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+    oracle = {check.name: check for check in checks.run_all_checks()}["oracle_equivalence"]
+    assert oracle.passed
 
 
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "1"]])

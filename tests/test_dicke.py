@@ -23,6 +23,7 @@ from dickesim import (
     wlike_state,
 )
 from dickesim import gates
+from dickesim.sim import NORM_ATOL
 
 
 def hamming_indices(n, k):
@@ -67,6 +68,16 @@ def test_dicke_state_matches_bit_count_loop():
             expected = np.zeros(1 << n, dtype=complex)
             expected[hamming_indices(n, k)] = 1 / math.sqrt(math.comb(n, k))
             np.testing.assert_array_equal(dicke_state(n, k).amplitudes, expected)
+
+
+def test_dicke_22_11_passes_its_norm_check():
+    # 705,432 equal amplitudes: the constructor's own norm must not round
+    # past NORM_ATOL (np.linalg.norm gives |psi| - 1 = 1.1e-12 here)
+    amplitudes = dicke_state(22, 11).amplitudes
+    support = amplitudes[amplitudes != 0]
+    assert len(support) == math.comb(22, 11)
+    norm = math.sqrt(math.fsum(np.abs(support) ** 2))
+    assert abs(norm - 1.0) <= NORM_ATOL
 
 
 def test_dicke_single_excitation_is_w_state():

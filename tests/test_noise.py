@@ -5,15 +5,23 @@ import numpy as np
 import pytest
 
 from dickesim import (
+    EXPANSION_LAYOUT,
     FidelityMode,
+    apply_circuit,
     build_d4_to_d5_circuit,
     default_theta_grid,
+    dicke_state,
+    fidelity_pure,
     fidelity_sweep,
+    new_basis_state,
     noisify_circuit,
     noisify_gate,
+    postselect,
     rx_matrix,
+    tensor,
 )
-from dickesim import gates
+from dickesim import gates, noise, sim
+from dickesim.cli import Table
 from dickesim.gates import is_unitary
 
 
@@ -131,3 +139,82 @@ def test_default_grid_shape():
     assert len(grid) == 101
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against one circuit run per angle
+
+
+def per_angle_sweep(grid, mode):
+    """Fidelities from one noisified circuit and one StateVector per angle."""
+    circuit = build_d4_to_d5_circuit()
+    source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
+    flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
+    post_selected = mode is FidelityMode.POST_SELECTED_SUCCESS
+    ideal = apply_circuit(source, circuit)
+    if post_selected:
+        _, ideal = postselect(ideal, flag, 0)
+    fidelities = []
+    for theta in grid:
+        noisy = apply_circuit(source, noisify_circuit(circuit, theta))
+        if post_selected:
+            _, noisy = postselect(noisy, flag, 0)
+        fidelities.append(fidelity_pure(ideal, noisy))
+    return fidelities
+
+
+def seeded_grids():
+    rng = np.random.default_rng(2718)
+    near_pi = math.nextafter(math.pi, 0.0)
+    grids = [[0.0], [math.pi], [-math.pi], [near_pi], [-near_pi, 0.0, near_pi]]
+    for _ in range(5):
+        low, high = sorted(rng.uniform(-math.pi, math.pi, 2))
+        grids.append(np.linspace(low, high, int(rng.integers(2, 50))).tolist())
+    grids.append(rng.uniform(-math.pi, math.pi, 37).tolist())  # unsorted
+    grids.append(rng.uniform(-0.1, 0.1, 21).tolist())
+    return grids
+
+
+@pytest.mark.parametrize("mode", list(FidelityMode))
+def test_batched_sweep_matches_per_angle_runs(mode):
+    for grid in seeded_grids():
+        rows = fidelity_sweep(grid, mode=mode)
+        assert [row.theta for row in rows] == grid
+        np.testing.assert_allclose(
+            [row.fidelity for row in rows], per_angle_sweep(grid, mode), rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32, 1000])
+def test_sweep_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    # chunks are not bit-identical to each other (a chunk's shape may change
+    # how its arithmetic is blocked), but the rows agree and so does the CSV
+    grid = np.linspace(-0.1, 0.1, 101)
+    expected = {mode: fidelity_sweep(grid, mode=mode) for mode in FidelityMode}
+    monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+    for mode in FidelityMode:
+        rows = fidelity_sweep(grid, mode=mode)
+        assert [row.theta for row in rows] == [row.theta for row in expected[mode]]
+        np.testing.assert_allclose(
+            [row.fidelity for row in rows],
+            [row.fidelity for row in expected[mode]],
+            rtol=0,
+            atol=1e-15,
+        )
+        columns = ("theta", "fidelity")
+        assert Table(columns, rows).csv() == Table(columns, expected[mode]).csv()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 3.5, -math.pi - 1e-9])
+@pytest.mark.parametrize("position", [0, 20, 99])
+def test_sweep_rejects_a_bad_angle_anywhere_before_any_work(monkeypatch, bad, position):
+    # position 99 lies in the last chunk; no chunk may run before the check
+    grid = np.linspace(-0.1, 0.1, 100).tolist()
+    grid[position] = bad
+
+    def no_work(*args):
+        raise AssertionError("the kernel ran before every angle was checked")
+
+    monkeypatch.setattr(noise, "_evolve", no_work)
+    with pytest.raises(ValueError, match="over-rotation angle"):
+        fidelity_sweep(grid)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gate, random_named_circuit, random_state
+from conftest import random_gate, random_named_circuit, random_state, random_unitary_2x2
 from dickesim import (
     CircuitProgram,
     StateVector,
@@ -21,7 +21,8 @@ from dickesim import (
     reduced_density_matrix,
     tensor,
 )
-from dickesim import gates
+from dickesim import GateSpec, gates
+from dickesim.sim import _evolve
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -136,6 +137,30 @@ def test_apply_circuit_validates_once(monkeypatch):
     evolved = apply_circuit(state, circuit)
     assert built == [evolved]
     assert np.array_equal(evolved.amplitudes, expected.amplitudes)
+
+
+def test_batch_axis_evolves_each_row_as_its_own_state():
+    # a leading batch axis, with one matrix for all rows or a (T, 2, 2) stack
+    # of one matrix per row, gives each row exactly its single-state result
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        n, rows = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        circuit = random_named_circuit(rng, n, 12)
+        matrices = [
+            np.array([random_unitary_2x2(rng) for _ in range(rows)]) if rng.random() < 0.5
+            else gate.matrix
+            for gate in circuit.gates
+        ]
+        states = [random_state(rng, n) for _ in range(rows)]
+        batch = np.array([state.amplitudes for state in states]).reshape((rows,) + (2,) * n)
+        _evolve(batch, n, circuit.gates, matrices)
+        for row, state in enumerate(states):
+            row_gates = tuple(
+                GateSpec(gate.controls, gate.target, u if u.ndim == 2 else u[row])
+                for gate, u in zip(circuit.gates, matrices)
+            )
+            expected = apply_circuit(state, CircuitProgram(n, row_gates, circuit.qubit_labels))
+            np.testing.assert_array_equal(batch[row].reshape(-1), expected.amplitudes)
 
 
 def test_control_locality_is_exact():
