@@ -10,7 +10,6 @@ from .dicke import (
     decompose_target,
     dicke_state,
     max_success_probability,
-    transfer_ratios,
     verify_decomposition,
     w_state,
     wbar_state,
@@ -28,7 +27,6 @@ from .gates import (
 from .noise import (
     FidelityMode,
     SweepRow,
-    default_theta_grid,
     fidelity_sweep,
     noisify_circuit,
     noisify_gate,

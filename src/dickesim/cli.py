@@ -35,6 +35,7 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # about 80 s of sampling at ~80 ns per shot
 MAX_STEPS = 100_000  # about 7-8 s end to end, ~70 us per angle
+MAX_QUBITS = 5_000  # --total + --added; worst case about 3 s (decompose, M = k = N/2)
 
 
 def _fmt(x: float) -> str:
@@ -186,6 +187,8 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _params_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> BipartitionParams:
+    if args.total + args.added > MAX_QUBITS:
+        parser.error(f"--total + --added must not exceed {MAX_QUBITS}")
     try:
         return BipartitionParams(**_parameters(args))
     except ValueError as exc:
@@ -209,7 +212,7 @@ def cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     table = Table(
         ("side", "j", "a_excitations", "b_excitations", "coefficient", "weight"),
         [
-            (side, t.j, t.a_excitations, t.b_excitations, t.coefficient,
+            (side, t.j, t.a_excitations, t.j, t.coefficient,
              f"{t.weight.numerator}/{t.weight.denominator}")
             for side, decomposition in sides
             for t in decomposition.terms

@@ -125,24 +125,18 @@ class DecompositionTerm:
     coefficient: float
     weight: Fraction  # exact value of coefficient**2
 
-    @property
-    def b_excitations(self) -> int:
-        return self.j
-
 
 @dataclass(frozen=True)
 class DickeDecomposition:
     """Expansion of a Dicke state over an A/B bipartition.
 
-    ``terms[j]`` carries the excitation transfer index j (excitations on B),
-    bounded by ``alpha <= j <= beta``; the squared coefficients are exact
-    rationals and sum to 1 exactly.
+    ``terms`` run over the excitation transfer index j (excitations on B) in
+    increasing order; the squared coefficients are exact rationals and sum to
+    1 exactly.
     """
 
     a_size: int
     b_size: int
-    alpha: int
-    beta: int
     terms: tuple[DecompositionTerm, ...]
 
     def __post_init__(self) -> None:
@@ -150,85 +144,44 @@ class DickeDecomposition:
             raise ValueError("decomposition weights do not sum to 1")
 
 
-def _decomposition(
-    a_size: int, b_size: int, total_excitations: int, alpha: int, beta: int
-) -> DickeDecomposition:
-    denominator = math.comb(a_size + b_size, total_excitations)
+def _decomposition(a_size: int, b_size: int, m: int) -> DickeDecomposition:
+    """D(a_size + b_size, m) = sum_j c_j |D_A^{m-j}> |D_B^{j}> with
+    c_j^2 = C(a_size, m-j) * C(b_size, j) / C(a_size + b_size, m), for every
+    j in [max(m - a_size, 0), min(b_size, m)]."""
+    denominator = math.comb(a_size + b_size, m)
     terms = []
-    for j in range(alpha, beta + 1):
-        weight = Fraction(
-            math.comb(a_size, total_excitations - j) * math.comb(b_size, j),
-            denominator,
-        )
-        terms.append(
-            DecompositionTerm(
-                j=j,
-                a_excitations=total_excitations - j,
-                coefficient=math.sqrt(weight),
-                weight=weight,
-            )
-        )
-    return DickeDecomposition(a_size, b_size, alpha, beta, tuple(terms))
+    for j in range(max(m - a_size, 0), min(b_size, m) + 1):
+        weight = Fraction(math.comb(a_size, m - j) * math.comb(b_size, j), denominator)
+        terms.append(DecompositionTerm(j, m - j, math.sqrt(weight), weight))
+    return DickeDecomposition(a_size, b_size, tuple(terms))
 
 
 def decompose_source(params: BipartitionParams) -> DickeDecomposition:
-    """Split the initial Dicke state over accessible/inaccessible qubits.
-
-    c_j = sqrt( C(k, M-j) * C(N-k, j) / C(N, M) ) for
-    j in [max(M-k, 0), min(N-k, M)], with N qubits, M excitations and k
-    accessible qubits.
-    """
-    n, m, k = params.total, params.excitations, params.accessible
-    return _decomposition(k, n - k, m, max(m - k, 0), min(n - k, m))
+    """Split the initial Dicke state D(N, M) over its k accessible qubits (A)
+    and the N-k others (B): c_j^2 = C(k, M-j) * C(N-k, j) / C(N, M)."""
+    k = params.accessible
+    return _decomposition(k, params.total - k, params.excitations)
 
 
 def decompose_target(params: BipartitionParams) -> DickeDecomposition:
-    """Split the expanded Dicke state. A gains the added qubits; B is unchanged.
-
-    c_j = sqrt( C(k+n', M+m'-j) * C(N-k, j) / C(N+n', M+m') ) for
-    j in [max(M+m'-k-n', 0), min(N-k, M+m')], where n' qubits carrying m'
-    excitations were appended.
-    """
-    n, m, k = params.total, params.excitations, params.accessible
-    a_size = k + params.added
-    m_total = m + params.added_excitations
-    return _decomposition(
-        a_size, n - k, m_total, max(m_total - a_size, 0), min(n - k, m_total)
-    )
-
-
-def transfer_ratios(params: BipartitionParams) -> list[Fraction]:
-    """Per-component retention ratios q_j = C(k, M-j) / C(k+n', M+m'-j)
-    over the target decomposition's index range."""
+    """Split the expanded Dicke state D(N+n', M+m'). A gains the n' added
+    qubits; B is unchanged: c_j^2 = C(k+n', M+m'-j) * C(N-k, j) / C(N+n', M+m')."""
     k = params.accessible
-    m = params.excitations
-    m_total = m + params.added_excitations
-    a_size = k + params.added
-    alpha = max(m_total - a_size, 0)
-    beta = min(params.total - k, m_total)
-    ratios = []
-    for j in range(alpha, beta + 1):
-        denominator = math.comb(a_size, m_total - j)
-        if denominator == 0:
-            raise ValueError(f"zero binomial denominator at transfer index {j}")
-        ratios.append(Fraction(math.comb(k, m - j), denominator))
-    return ratios
+    return _decomposition(
+        k + params.added, params.total - k, params.excitations + params.added_excitations
+    )
 
 
 def max_success_probability(params: BipartitionParams) -> Fraction:
     """Best achievable success probability of the restricted-access expansion.
 
-    Equals min_j q_j scaled by the ratio of target to source state
-    multiplicities, as an exact reduced fraction.
+    An operation on A alone cannot raise the weight of any component |D_B^{j}>,
+    so p * w_tgt(j) <= w_src(j) for every j: p = min_j w_src(j) / w_tgt(j) over
+    the target's terms, with w_src(j) = 0 where the source has no term j. The
+    result is an exact reduced fraction.
     """
-    ratios = transfer_ratios(params)
-    if not ratios:
-        raise ValueError("target decomposition is empty")
-    scale = Fraction(
-        math.comb(params.total + params.added, params.excitations + params.added_excitations),
-        math.comb(params.total, params.excitations),
-    )
-    return min(ratios) * scale
+    source = {t.j: t.weight for t in decompose_source(params).terms}
+    return min(source.get(t.j, 0) / t.weight for t in decompose_target(params).terms)
 
 
 def verify_decomposition(

@@ -76,11 +76,6 @@ def noisify_circuit(circuit: CircuitProgram, theta: float) -> CircuitProgram:
     )
 
 
-def default_theta_grid() -> np.ndarray:
-    """101 uniform angles covering 0 to 0.1 radians."""
-    return np.linspace(0.0, 0.1, 101)
-
-
 def _noisy_matrices(circuit: CircuitProgram, thetas: np.ndarray) -> list[np.ndarray]:
     """The matrices of :func:`noisify_circuit` for every angle at once: a
     ``(T, 2, 2)`` stack ``rx_matrix(theta) @ gate.matrix`` per controlled gate,

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import time
 
 import pytest
 
@@ -193,6 +194,29 @@ def test_decompose_outputs_source_and_target(capsys):
     assert sides == ["source", "source", "target", "target"]
     weights = [line.split(",")[-1] for line in lines[1:]]
     assert weights == ["1/2", "1/2", "2/5", "3/5"]
+
+
+@pytest.mark.parametrize("command", ["pmax", "decompose"])
+@pytest.mark.parametrize("sizes", [
+    # without the limit, 20 s to minutes of exact binomial arithmetic
+    ["--total", "20000", "--excitations", "10000", "--accessible", "10000",
+     "--added", "1", "--added-excitations", "0"],
+    ["--total", "4", "--excitations", "2", "--accessible", "3",
+     "--added", "1000000", "--added-excitations", "500000"],
+])
+def test_bipartition_commands_reject_more_than_max_qubits(command, sizes, capsys):
+    start = time.perf_counter()
+    assert run_cli([command, *sizes]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--total + --added must not exceed 5000" in capsys.readouterr().err
+
+
+def test_bipartition_qubit_limit_is_inclusive(capsys):
+    # one term per side at any size, so the largest register accepted is cheap
+    sizes = ["--excitations", "0", "--accessible", "0", "--added", "1", "--added-excitations", "0"]
+    assert run_cli(["pmax", "--total", "4999", *sizes]) == 0
+    assert capsys.readouterr().out.strip() == "1/1 ≈ 1.000000"
+    assert run_cli(["pmax", "--total", "5000", *sizes]) == 2
 
 
 # ---------------------------------------------------------------------------

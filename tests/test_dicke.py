@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (
     BipartitionParams,
@@ -16,7 +18,6 @@ from dickesim import (
     dicke_state,
     fidelity_pure,
     max_success_probability,
-    transfer_ratios,
     verify_decomposition,
     w_state,
     wbar_state,
@@ -187,7 +188,7 @@ EXPANSION_CASE = dict(total=4, excitations=2, accessible=3, added=1, added_excit
 
 def test_source_decomposition_of_four_qubit_state():
     decomposition = decompose_source(BipartitionParams(**EXPANSION_CASE))
-    assert (decomposition.alpha, decomposition.beta) == (0, 1)
+    assert [t.j for t in decomposition.terms] == [0, 1]
     assert [t.weight for t in decomposition.terms] == [Fraction(1, 2), Fraction(1, 2)]
     assert [t.a_excitations for t in decomposition.terms] == [2, 1]
     for term in decomposition.terms:
@@ -217,7 +218,7 @@ def test_target_reduces_to_source_without_expansion():
     source = decompose_source(params)
     target = decompose_target(params)
     assert [t.weight for t in source.terms] == [t.weight for t in target.terms]
-    assert (source.alpha, source.beta) == (target.alpha, target.beta)
+    assert [t.j for t in source.terms] == [t.j for t in target.terms]
 
 
 def test_decomposition_weights_sum_to_one_exactly():
@@ -233,9 +234,13 @@ def test_decomposition_weights_sum_to_one_exactly():
 
 
 def test_transfer_ratios_for_expansion_case():
-    ratios = transfer_ratios(BipartitionParams(**EXPANSION_CASE))
-    assert ratios == [Fraction(3, 4), Fraction(1, 2)]
-    assert min(ratios) == Fraction(1, 2)
+    # w_src / w_tgt per j: (1/2) / (2/5) and (1/2) / (3/5); the smaller is pmax
+    params = BipartitionParams(**EXPANSION_CASE)
+    source, target = decompose_source(params), decompose_target(params)
+    assert [t.j for t in source.terms] == [t.j for t in target.terms] == [0, 1]
+    ratios = [s.weight / t.weight for s, t in zip(source.terms, target.terms)]
+    assert ratios == [Fraction(5, 4), Fraction(5, 6)]
+    assert max_success_probability(params) == min(ratios)
 
 
 def test_max_success_probability_is_exact_rational():
@@ -262,6 +267,50 @@ def test_full_access_expansion_is_deterministic():
 def test_another_expansion_instance():
     params = BipartitionParams(total=5, excitations=3, accessible=4, added=1, added_excitations=1)
     assert max_success_probability(params) == Fraction(9, 10)
+
+
+def valid_instances(max_total=9, max_added=3):
+    """Every (N, M, k, n', m') that BipartitionParams accepts."""
+    instances = []
+    for total in range(1, max_total + 1):
+        for excitations in range(total + 1):
+            for accessible in range(total + 1):
+                for added in range(max_added + 1):
+                    for added_excitations in range(added + 1):
+                        try:
+                            instances.append(BipartitionParams(
+                                total, excitations, accessible, added, added_excitations))
+                        except ValueError:
+                            pass
+    return instances
+
+
+def closed_form_pmax(params):
+    """min_j q_j * C(N+n', M+m') / C(N, M), with q_j = C(k, M-j) / C(k+n', M+m'-j)
+    over the target's range of j: the closed form the bound was first computed by."""
+    n, m, k = params.total, params.excitations, params.accessible
+    a_size, m_total = k + params.added, m + params.added_excitations
+    ratios = [
+        Fraction(math.comb(k, m - j), math.comb(a_size, m_total - j))
+        for j in range(max(m_total - a_size, 0), min(n - k, m_total) + 1)
+    ]
+    return min(ratios) * Fraction(math.comb(n + params.added, m_total), math.comb(n, m))
+
+
+def test_pmax_equals_the_closed_form_on_every_small_instance():
+    instances = valid_instances()
+    assert len(instances) == 2070
+    for params in instances:
+        assert max_success_probability(params) == closed_form_pmax(params), params
+
+
+def test_pmax_is_invariant_under_bit_flip_duality():
+    # flipping every qubit swaps excitations with zeros, in the register and
+    # among the added qubits, and maps each Dicke state onto its dual
+    for params in valid_instances():
+        dual = BipartitionParams(
+            params.total, params.zeros, params.accessible, params.added, params.added_zeros)
+        assert max_success_probability(dual) == max_success_probability(params), params
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +360,41 @@ def test_exhaustive_decomposition_sweep():
                 assert verify_decomposition(state, a, b, decompose_source(params))
 
 
+@st.composite
+def split_instances(draw):
+    """A valid BipartitionParams with N + n' <= 10, and a random accessible
+    set and order for each of the source and target registers."""
+    total = draw(st.integers(1, 9))
+    added = draw(st.integers(0, 10 - total))
+    excitations = draw(st.integers(0, total))
+    added_excitations = draw(st.integers(0, added))
+    low = 0
+    if added > added_excitations:  # appending |0> qubits needs access to every |1>
+        low = max(low, excitations)
+    if added_excitations > 0:  # appending |1> qubits needs access to every |0>
+        low = max(low, total - excitations)
+    accessible = draw(st.integers(low, total))
+    params = BipartitionParams(total, excitations, accessible, added, added_excitations)
+    source_order = draw(st.permutations(range(total)))
+    target_order = draw(st.permutations(range(total + added)))
+    return params, source_order, target_order
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(split_instances())
+def test_decompositions_hold_on_random_splits(instance):
+    params, source_order, target_order = instance
+    k, k_target = params.accessible, params.accessible + params.added
+    assert verify_decomposition(
+        dicke_state(params.total, params.excitations),
+        source_order[:k], source_order[k:], decompose_source(params),
+    )
+    assert verify_decomposition(
+        dicke_state(params.total + params.added, params.excitations + params.added_excitations),
+        target_order[:k_target], target_order[k_target:], decompose_target(params),
+    )
+
+
 def state_from_strings(amplitudes):
     """StateVector from a {bitstring: amplitude} map, qubit 0 leftmost."""
     n = len(next(iter(amplitudes)))
@@ -324,7 +408,7 @@ def test_verify_uses_the_split_it_is_given():
     # |D_A^1>|0>_B with A of two qubits: the excitation must sit on A, so only
     # splits that put the |0> qubit into B match (Dicke states alone are
     # symmetric under qubit permutation and cannot tell splits apart).
-    decomposition = DickeDecomposition(2, 1, 0, 0, (DecompositionTerm(0, 1, 1.0, Fraction(1)),))
+    decomposition = DickeDecomposition(2, 1, (DecompositionTerm(0, 1, 1.0, Fraction(1)),))
     state = state_from_strings({"010": 1 / math.sqrt(2), "001": 1 / math.sqrt(2)})
     assert verify_decomposition(state, (1, 2), (0,), decomposition)
     assert verify_decomposition(state, (2, 1), (0,), decomposition)
@@ -336,7 +420,7 @@ def test_verify_uses_the_split_it_is_given():
         DecompositionTerm(0, 2, math.sqrt(1 / 3), Fraction(1, 3)),
         DecompositionTerm(1, 1, math.sqrt(2 / 3), Fraction(2, 3)),
     )
-    decomposition = DickeDecomposition(2, 2, 0, 1, terms)
+    decomposition = DickeDecomposition(2, 2, terms)
     cross = math.sqrt(2 / 3) / 2
     state = state_from_strings({
         "0101": math.sqrt(1 / 3),

@@ -9,7 +9,6 @@ from dickesim import (
     FidelityMode,
     apply_circuit,
     build_d4_to_d5_circuit,
-    default_theta_grid,
     dicke_state,
     fidelity_pure,
     fidelity_sweep,
@@ -132,13 +131,6 @@ def test_sweep_preserves_grid_order():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         fidelity_sweep([])
-
-
-def test_default_grid_shape():
-    grid = default_theta_grid()
-    assert len(grid) == 101
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
