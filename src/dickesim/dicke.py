@@ -147,11 +147,21 @@ class DickeDecomposition:
 def _decomposition(a_size: int, b_size: int, m: int) -> DickeDecomposition:
     """D(a_size + b_size, m) = sum_j c_j |D_A^{m-j}> |D_B^{j}> with
     c_j^2 = C(a_size, m-j) * C(b_size, j) / C(a_size + b_size, m), for every
-    j in [max(m - a_size, 0), min(b_size, m)]."""
+    j in [max(m - a_size, 0), min(b_size, m)].
+
+    The binomials step from one j to the next by the exact integer
+    recurrences C(a, k - 1) = C(a, k) * k / (a - k + 1) and
+    C(b, j + 1) = C(b, j) * (b - j) / (j + 1); each division is exact."""
     denominator = math.comb(a_size + b_size, m)
+    first = max(m - a_size, 0)
+    from_a, from_b = math.comb(a_size, m - first), math.comb(b_size, first)
     terms = []
-    for j in range(max(m - a_size, 0), min(b_size, m) + 1):
-        weight = Fraction(math.comb(a_size, m - j) * math.comb(b_size, j), denominator)
+    for j in range(first, min(b_size, m) + 1):
+        if j > first:
+            k = m - j + 1  # excitations on A at the previous term
+            from_a = from_a * k // (a_size - k + 1)
+            from_b = from_b * (b_size - j + 1) // j
+        weight = Fraction(from_a * from_b, denominator)
         terms.append(DecompositionTerm(j, m - j, math.sqrt(weight), weight))
     return DickeDecomposition(a_size, b_size, tuple(terms))
 

@@ -51,8 +51,9 @@ def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         return False
-    eye = np.eye(matrix.shape[-1])
-    return bool(np.max(np.abs(np.swapaxes(matrix.conj(), -1, -2) @ matrix - eye)) <= atol)
+    deviation = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    deviation -= np.eye(matrix.shape[-1])
+    return bool(np.max(np.abs(deviation)) <= atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +211,18 @@ def format_circuit(circuit: CircuitProgram) -> str:
     Line shape: ``LABEL GATE c=<labels> t=<label> [theta=<radians>]`` with a
     leading ``# qubits:`` header naming the register (needed to round-trip
     qubits no gate touches).
+
+    Raises ``ValueError`` naming the first label that :func:`parse_circuit`
+    would misread: a qubit label that is empty, ``-`` (no controls) or
+    contains whitespace or ``,``; a gate label that is ``-`` (no label),
+    starts with ``#`` (a comment) or contains whitespace.
     """
+    for label in circuit.qubit_labels:
+        if label in ("", "-") or any(ch.isspace() or ch == "," for ch in label):
+            raise ValueError(f"qubit label {label!r} cannot be written in the text format")
+    for g in circuit.gates:
+        if g.label == "-" or g.label.startswith("#") or any(ch.isspace() for ch in g.label):
+            raise ValueError(f"gate label {g.label!r} cannot be written in the text format")
     lines = ["# qubits: " + ",".join(circuit.qubit_labels)]
     for g in circuit.gates:
         token = g.mnemonic()

@@ -21,8 +21,10 @@ from .gates import CircuitProgram, GateSpec, is_unitary, rx_matrix
 from .protocols import EXPANSION_LAYOUT, build_d4_to_d5_circuit
 from .sim import (
     IMPOSSIBLE_BRANCH,
+    StateVector,
     _axis_index,
     _check_normalized,
+    _check_norms,
     _evolve,
     apply_circuit,
     new_basis_state,
@@ -95,6 +97,64 @@ def _noisy_matrices(circuit: CircuitProgram, thetas: np.ndarray) -> list[np.ndar
     return matrices
 
 
+def _fourier_coefficients(
+    circuit: CircuitProgram, source: StateVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy output as a trigonometric polynomial in the over-rotation angle.
+
+    Each of the D controlled gates adds ``Rx(theta) = z^-1 (I + X)/2 + z (I - X)/2``
+    with ``z = exp(i theta / 2)``, so the output is ``psi(theta) = sum_m a_m z^m``
+    over m = -D..D. Returns ``(m, a)``: row ``r`` of ``a`` is the coefficient
+    of ``z^m[r]``, taken with one FFT over the outputs at the 2D + 1 node
+    angles ``theta_k = 4 pi k / (2D + 1)``, which are internal and lie
+    outside [-pi, pi] by design. The nodes run through the kernel
+    ``sim.BATCH_CHUNK`` at a time; their matrices and output states are
+    checked as in a one-angle run.
+    """
+    n = source.n_qubits
+    degree = sum(1 for gate in circuit.gates if gate.controls)
+    nodes = 2 * degree + 1
+    thetas = 4.0 * math.pi * np.arange(nodes) / nodes
+    shape = (nodes,) + (2,) * n
+    psi = np.broadcast_to(source.amplitudes.reshape(shape[1:]), shape).copy()
+    for start in range(0, nodes, sim.BATCH_CHUNK):
+        stop = start + sim.BATCH_CHUNK
+        _evolve(psi[start:stop], n, circuit.gates, _noisy_matrices(circuit, thetas[start:stop]))
+    psi = psi.reshape(nodes, -1)
+    _check_normalized(psi)
+    m = (np.arange(nodes) + degree) % nodes - degree
+    return m, np.fft.fft(psi, axis=0, norm="forward")
+
+
+def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_j coefficients[j] * z**j`` at every ``z``."""
+    acc = np.full_like(z, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _norm_polynomial(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``p`` with ``sum_j |sum_r a[r, j] z^m[r]|^2 = Re sum_d p[d] z^d`` on ``|z| = 1``.
+
+    ``p[d]``, d = 0..2D, sums the Gram matrix entries ``<a_r|a_s>`` with
+    ``m[s] - m[r] = d``, doubled for d > 0 to stand for their conjugate
+    mirror terms at -d. The Gram matrix is built a ``sim.BATCH_CHUNK`` of
+    rows at a time, so no full conjugate copy of ``a`` is live.
+    """
+    gram = np.empty((len(a), len(a)), dtype=complex)
+    for start in range(0, len(a), sim.BATCH_CHUNK):
+        rows = slice(start, start + sim.BATCH_CHUNK)
+        gram[rows] = a[rows].conj() @ a.T
+    lag = m[None, :] - m[:, None]
+    upper = lag >= 0
+    p = np.zeros(len(a), dtype=complex)
+    np.add.at(p, lag[upper], gram[upper])
+    p[1:] *= 2.0
+    return p
+
+
 def fidelity_sweep(
     theta_grid: Iterable[float],
     mode: FidelityMode = FidelityMode.POST_SELECTED_SUCCESS,
@@ -106,11 +166,17 @@ def fidelity_sweep(
     compares the renormalized flag-0 branches. Both give fidelity 1 at
     theta = 0. Rows follow the input grid order.
 
-    The angles run through the circuit ``sim.BATCH_CHUNK`` at a time, as one
-    batch with a ``(T, 2, 2)`` matrix stack per controlled gate. Every angle,
-    noisy matrix, output state and flag-0 branch is checked as
-    :func:`noisify_gate`, :class:`GateSpec`, ``StateVector`` and
-    :func:`postselect` check one.
+    The kernel runs 2D + 1 times per call, D the number of controlled gates,
+    whatever the grid length (:func:`_fourier_coefficients`). On each grid
+    angle, ``z = exp(i theta / 2)``, the overlap with the ideal output is
+    ``sum_m b_m z^m`` with ``b_m = <ideal|a_m>``, and the squared norms of the
+    output and of its flag-0 branch are polynomials read off Gram matrices
+    of the coefficients; Horner's rule evaluates each. Every grid angle
+    is checked as :func:`noisify_gate` checks one before the kernel runs; the
+    node matrices and states are checked as :class:`GateSpec` and
+    ``StateVector`` check one; and every grid angle's output norm must be 1
+    within ``NORM_ATOL`` and its flag-0 probability at least
+    ``IMPOSSIBLE_BRANCH``, with the messages of a one-angle run.
     """
     grid = [float(t) for t in theta_grid]
     if not grid:
@@ -124,32 +190,21 @@ def fidelity_sweep(
     n = source.n_qubits
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
     ideal = apply_circuit(source, circuit)
-    post_selected = mode is FidelityMode.POST_SELECTED_SUCCESS
-    if post_selected:
+    m, a = _fourier_coefficients(circuit, source)
+    z = np.exp(0.5j * thetas)
+    _check_norms(np.sqrt(_horner(_norm_polynomial(m, a), z).real))
+    if mode is FidelityMode.POST_SELECTED_SUCCESS:
         _, ideal = postselect(ideal, flag, 0)
-    branch = _axis_index(n, [(flag, 0)])
-    fidelities = []
-    for start in range(0, len(grid), sim.BATCH_CHUNK):
-        chunk = thetas[start:start + sim.BATCH_CHUNK]
-        shape = (len(chunk),) + (2,) * n
-        psi = np.broadcast_to(source.amplitudes.reshape(shape[1:]), shape).copy()
-        _evolve(psi, n, circuit.gates, _noisy_matrices(circuit, chunk))
-        _check_normalized(psi.reshape(len(chunk), -1))
-        if post_selected:
-            probs = np.sum(np.abs(psi[branch]) ** 2, axis=tuple(range(1, n)))
-            low = int(np.argmin(probs))
-            if probs[low] < IMPOSSIBLE_BRANCH:
-                raise ValueError(
-                    f"outcome 0 on qubit {flag} has probability {float(probs[low])!r}"
-                )
-            selected = np.zeros_like(psi)
-            selected[branch] = psi[branch] / np.sqrt(probs).reshape((-1,) + (1,) * (n - 1))
-            psi = selected
-            _check_normalized(psi.reshape(len(chunk), -1))
-        # One np.vdot per row, as fidelity_pure takes it: a batched product
-        # sums in another order and moves the last bit of some fidelities.
-        fidelities.extend(
-            float(abs(np.vdot(ideal.amplitudes, row)) ** 2)
-            for row in psi.reshape(len(chunk), -1)
-        )
-    return [SweepRow(theta, fidelity) for theta, fidelity in zip(grid, fidelities)]
+        branch = a.reshape((len(a),) + (2,) * n)[_axis_index(n, [(flag, 0)])]
+        probs = _horner(_norm_polynomial(m, branch.reshape(len(a), -1)), z).real
+        low = int(np.argmin(probs))
+        if probs[low] < IMPOSSIBLE_BRANCH:
+            raise ValueError(
+                f"outcome 0 on qubit {flag} has probability {float(probs[low])!r}"
+            )
+    else:
+        probs = 1.0
+    # b_m by increasing m gives z^D sum_m b_m z^m, whose modulus is the same.
+    overlaps = _horner((a @ ideal.amplitudes.conj())[np.argsort(m)], z)
+    fidelities = np.abs(overlaps) ** 2 / probs
+    return [SweepRow(theta, fidelity) for theta, fidelity in zip(grid, fidelities.tolist())]

@@ -20,9 +20,9 @@ NORM_ATOL = 1e-12
 IMPOSSIBLE_BRANCH = 1e-15
 # The full-matrix oracle materializes 4^n complex entries.
 UNITARY_ORACLE_MAX_QUBITS = 12
-# Batched callers of the kernel (the sweep's angles, the oracle check's basis
-# columns) run this many states at a time, so their peak memory does not grow
-# with the number of states.
+# Batched callers of the kernel (the sweep's 2D + 1 node angles, the oracle
+# check's basis columns) run this many states at a time, so their peak memory
+# does not grow with the number of states.
 BATCH_CHUNK = 16
 
 
@@ -62,9 +62,14 @@ def _check_normalized(amps: np.ndarray) -> None:
     f = amps.view(float)
     if not np.all(np.isfinite(f)):
         raise ValueError("amplitudes contain NaN or Inf")
-    norms = np.sqrt(f[..., None, :] @ f[..., None])
+    _check_norms(np.sqrt(f[..., None, :] @ f[..., None]))
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    """Raise unless every state norm in ``norms`` is 1 within ``NORM_ATOL``;
+    a NaN norm fails too."""
     worst = float(norms.flat[np.argmax(np.abs(norms - 1.0))])
-    if abs(worst - 1.0) > NORM_ATOL:
+    if not abs(worst - 1.0) <= NORM_ATOL:
         raise ValueError(f"state is not normalized: |psi| = {worst!r}")
 
 
@@ -270,6 +275,8 @@ def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
 
     Independent of :func:`apply_gate`'s axis slicing, so the two paths
     cross-check each other: the full matrix is I + (U - I)_target (x) P1_controls.
+    Each factor is ``np.kron``'s own definition, an outer product reshaped,
+    without its per-call overhead.
     """
     _check_gate_fits(gate, n_qubits)
     projector_one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -282,7 +289,8 @@ def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
             part = projector_one
         else:
             part = np.eye(2, dtype=complex)
-        factor = np.kron(factor, part)
+        rows, cols = factor.shape
+        factor = (factor[:, None, :, None] * part[None, :, None, :]).reshape(2 * rows, 2 * cols)
     return np.eye(1 << n_qubits, dtype=complex) + factor
 
 

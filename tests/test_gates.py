@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import CircuitProgram, GateSpec, format_circuit, parse_circuit, rx_matrix, ry_matrix
 from dickesim import gates
@@ -143,6 +145,90 @@ def test_parse_errors():
         parse_circuit("# qubits: a,b\n- CCNOT c=a t=b\n")
     with pytest.raises(ValueError, match="unknown qubit label"):
         parse_circuit("# qubits: a,b\n- CNOT c=z t=b\n")
+
+
+def writable_qubit_label(label):
+    return label not in ("", "-") and not any(ch.isspace() or ch == "," for ch in label)
+
+
+def writable_gate_label(label):
+    return label != "-" and not label.startswith("#") and not any(ch.isspace() for ch in label)
+
+
+@st.composite
+def named_circuits(draw):
+    """A circuit of named gates whose qubit and gate labels are drawn from
+    the full alphabet, writable or not."""
+    labels = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
+    n = len(labels)
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(["H", "X", "RX", "RY"]))
+        theta = None
+        if name in ("RX", "RY"):
+            theta = draw(st.floats(allow_nan=False, allow_infinity=False))
+        qubits = draw(st.permutations(range(n)))
+        n_controls = draw(st.integers(0, min(3, n - 1)))
+        steps.append(
+            gates.make_gate(
+                name, qubits[:n_controls], qubits[n_controls], theta=theta,
+                label=draw(st.text(max_size=3)),
+            )
+        )
+    return CircuitProgram(n, tuple(steps), tuple(labels))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(named_circuits())
+def test_text_format_round_trips_every_writable_circuit(circuit):
+    unwritable = [lab for lab in circuit.qubit_labels if not writable_qubit_label(lab)]
+    unwritable += [g.label for g in circuit.gates if not writable_gate_label(g.label)]
+    if unwritable:
+        with pytest.raises(ValueError, match="cannot be written") as info:
+            format_circuit(circuit)
+        assert any(repr(lab) in str(info.value) for lab in unwritable)
+        return
+    parsed = parse_circuit(format_circuit(circuit))
+    assert parsed.qubit_labels == circuit.qubit_labels
+    assert len(parsed.gates) == len(circuit.gates)
+    for original, back in zip(circuit.gates, parsed.gates):
+        assert (back.label, back.name, back.controls, back.target) == (
+            original.label, original.name, original.controls, original.target
+        )
+        assert repr(back.theta) == repr(original.theta)
+        np.testing.assert_array_equal(back.matrix, original.matrix)
+
+
+# Each turns a well-formed gate line into one the parser must reject.
+MALFORMATIONS = {
+    "too few fields": lambda line: " ".join(line.split()[:2]),
+    "field without =": lambda line: line + " stray",
+    "unknown token": lambda line: line.replace(" CNOT ", " SWAP ", 1),
+    "missing target": lambda line: line.replace(" t=b", " u=b", 1),
+    "control count": lambda line: line.replace(" CNOT ", " CCNOT ", 1),
+    "unknown qubit": lambda line: line.replace(" t=b", " t=zz", 1),
+    "target is control": lambda line: line.replace(" t=b", " t=a", 1),
+    "angle on H": lambda line: line.replace(" CNOT ", " CH ", 1) + " theta=0.5",
+    "missing angle": lambda line: line.replace(" CNOT ", " CRX ", 1),
+    "bad angle": lambda line: line.replace(" CNOT ", " CRY ", 1) + " theta=nan",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMATIONS))
+def test_parse_rejects_malformed_gate_lines(kind):
+    line = "G1 CNOT c=a t=b"
+    assert parse_circuit(f"# qubits: a,b\n{line}\n").gates[0].controls == (0,)
+    with pytest.raises(ValueError):
+        parse_circuit(f"# qubits: a,b\n{MALFORMATIONS[kind](line)}\n")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(max_size=40))
+def test_parse_raises_only_value_error_on_any_gate_line(line):
+    try:
+        parse_circuit("# qubits: a,b,c\n" + line)
+    except ValueError:
+        pass
 
 
 def test_step_labels_collapse_shared_steps():

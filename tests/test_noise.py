@@ -1,8 +1,11 @@
 """Coherent over-rotation model and fidelity sweeps."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (
     EXPANSION_LAYOUT,
@@ -210,3 +213,134 @@ def test_sweep_rejects_a_bad_angle_anywhere_before_any_work(monkeypatch, bad, po
     monkeypatch.setattr(noise, "_evolve", no_work)
     with pytest.raises(ValueError, match="over-rotation angle"):
         fidelity_sweep(grid)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
+    st.sampled_from(list(FidelityMode)),
+)
+def test_spectral_sweep_matches_per_angle_runs_on_random_grids(grid, mode):
+    rows = fidelity_sweep(grid, mode=mode)
+    np.testing.assert_allclose(
+        [row.fidelity for row in rows], per_angle_sweep(grid, mode), rtol=0, atol=1e-14
+    )
+
+
+def test_sweep_at_max_steps_matches_per_angle_runs():
+    grid = np.linspace(-math.pi, math.pi, 100_000)
+    picked = np.random.default_rng(1009).choice(len(grid), 20, replace=False)
+    for mode in FidelityMode:
+        rows = fidelity_sweep(grid, mode=mode)
+        assert len(rows) == len(grid)
+        np.testing.assert_allclose(
+            [rows[i].fidelity for i in picked],
+            per_angle_sweep(grid[picked].tolist(), mode),
+            rtol=0,
+            atol=1e-14,
+        )
+
+
+def test_kernel_runs_2d_plus_1_states_per_call_whatever_the_grid(monkeypatch):
+    evolved = []
+
+    def counting(psi, *args):
+        evolved.append(len(psi))
+        sim._evolve(psi, *args)
+
+    monkeypatch.setattr(noise, "_evolve", counting)
+    degree = sum(1 for gate in build_d4_to_d5_circuit().gates if gate.controls)
+    for steps in (1, 226, 100_000):
+        evolved.clear()
+        fidelity_sweep(np.linspace(-0.1, 0.1, steps))
+        assert sum(evolved) == 2 * degree + 1 == 33
+
+
+def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypatch):
+    spectral = noise._fourier_coefficients
+
+    def scaled_by(factor):
+        def coefficients(*args):
+            m, a = spectral(*args)
+            return m, a * factor
+
+        return coefficients
+
+    for factor, shown in [(1 + 1e-9, "1.000000001"), (math.nan, "nan")]:
+        monkeypatch.setattr(noise, "_fourier_coefficients", scaled_by(factor))
+        for mode in FidelityMode:
+            with pytest.raises(ValueError, match=f"state is not normalized: [|]psi[|] = {shown}"):
+                fidelity_sweep([0.0, 0.05], mode=mode)
+
+    def flag_one_only(*args):
+        m, a = spectral(*args)
+        constant = np.zeros_like(a)
+        constant[0, 1] = 1.0  # |000001>, the flag (last qubit) is 1 at every angle
+        return m, constant
+
+    monkeypatch.setattr(noise, "_fourier_coefficients", flag_one_only)
+    assert fidelity_sweep([0.05], mode=FidelityMode.PRE_MEASUREMENT)[0].fidelity == 0.0
+    with pytest.raises(ValueError, match="outcome 0 on qubit 5 has probability 0.0"):
+        fidelity_sweep([0.05], mode=FidelityMode.POST_SELECTED_SUCCESS)
+
+
+# ---------------------------------------------------------------------------
+# the robustness curvature: F(theta) = 1 - kappa theta^2 + O(theta^3)
+
+
+def expansion_coefficients():
+    circuit = build_d4_to_d5_circuit()
+    source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
+    m, a = noise._fourier_coefficients(circuit, source)
+    return circuit, apply_circuit(source, circuit), m, a
+
+
+def second_derivative(m, c):
+    """d^2/dtheta^2 at theta = 0 of sum_j |sum_r c[r, j] exp(i m[r] theta / 2)|^2."""
+    c = c.reshape(len(m), -1)
+    value = c.sum(axis=0)
+    first = 0.5j * (m[:, None] * c).sum(axis=0)
+    second = -0.25 * (m[:, None] ** 2 * c).sum(axis=0)
+    return float(np.sum(2.0 * (value.conj() * second).real + 2.0 * np.abs(first) ** 2))
+
+
+def test_premeasurement_curvature_is_the_variance_of_the_generator():
+    circuit, ideal, m, a = expansion_coefficients()
+    kappa = -0.5 * second_derivative(m, a @ ideal.amplitudes.conj())
+    # A = sum over controlled gates of (1/2) X_target prod_c |1><1|_c, each
+    # carried to the output by the ideal gates after it.
+    n, dim = circuit.n_qubits, 1 << circuit.n_qubits
+    one = np.diag([0.0, 1.0]).astype(complex)
+    generator = np.zeros((dim, dim), dtype=complex)
+    for i, gate in enumerate(circuit.gates):
+        if not gate.controls:
+            continue
+        parts = [
+            gates.X_MATRIX / 2 if q == gate.target else one if q in gate.controls else np.eye(2)
+            for q in range(n)
+        ]
+        after = np.eye(dim, dtype=complex)
+        for later in circuit.gates[i + 1:]:
+            after = sim.gate_unitary(later, n) @ after
+        generator += after @ functools.reduce(np.kron, parts) @ after.conj().T
+    psi = ideal.amplitudes
+    moved = generator @ psi
+    variance = np.vdot(moved, moved).real - np.vdot(psi, moved).real ** 2
+    assert kappa == pytest.approx(3.2565867, abs=1e-7)
+    assert abs(kappa - variance) <= 1e-10
+
+
+def test_postselected_curvature_matches_a_finite_difference():
+    circuit, ideal, m, a = expansion_coefficients()
+    flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
+    _, selected = postselect(ideal, flag, 0)
+    branch = np.take(a.reshape((len(m),) + (2,) * circuit.n_qubits), 0, axis=1 + flag)
+    probability = float(np.sum(np.abs(branch.reshape(len(m), -1).sum(axis=0)) ** 2))
+    assert probability == pytest.approx(5 / 6, abs=1e-12)
+    # F = N / P with N = P = p and F' = 0 at theta = 0, so F'' = (N'' - P'') / p
+    kappa = (second_derivative(m, branch) - second_derivative(m, a @ selected.amplitudes.conj()))
+    kappa /= 2 * probability
+    h = 1e-4
+    plus, minus = per_angle_sweep([h, -h], FidelityMode.POST_SELECTED_SUCCESS)
+    assert kappa == pytest.approx(1.95141, abs=1e-5)
+    assert abs(kappa - (2 - plus - minus) / (2 * h * h)) <= 1e-6

@@ -10,6 +10,7 @@ from dickesim import (
     StateVector,
     apply_circuit,
     apply_gate,
+    build_d4_to_d5_circuit,
     circuit_unitary,
     drop_qubit,
     fidelity_pure,
@@ -374,6 +375,28 @@ def test_gate_unitary_matches_apply_gate():
         state = random_state(rng, n)
         direct = apply_gate(state, gate).amplitudes
         assert np.max(np.abs(matrix @ state.amplitudes - direct)) <= 1e-12
+
+
+def kron_gate_unitary(gate, n):
+    """I + (U - I)_target (x) P1_controls, one np.kron per qubit."""
+    factor = np.ones((1, 1), dtype=complex)
+    for q in range(n):
+        if q == gate.target:
+            part = gate.matrix - np.eye(2)
+        elif q in gate.controls:
+            part = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+        else:
+            part = np.eye(2, dtype=complex)
+        factor = np.kron(factor, part)
+    return np.eye(1 << n, dtype=complex) + factor
+
+
+def test_gate_unitary_equals_the_np_kron_construction_exactly():
+    rng = np.random.default_rng(31)
+    cases = [(random_gate(rng, n), n) for n in range(1, 9) for _ in range(12)]
+    cases += [(gate, 6) for gate in build_d4_to_d5_circuit().gates]
+    for gate, n in cases:
+        np.testing.assert_array_equal(gate_unitary(gate, n), kron_gate_unitary(gate, n))
 
 
 def test_circuit_unitary_matches_gate_by_gate_application():
