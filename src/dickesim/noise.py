@@ -26,7 +26,6 @@ from .sim import (
     _check_normalized,
     _check_norms,
     _evolve,
-    apply_circuit,
     new_basis_state,
     postselect,
     tensor,
@@ -99,15 +98,16 @@ def _noisy_matrices(circuit: CircuitProgram, thetas: np.ndarray) -> list[np.ndar
 
 def _fourier_coefficients(
     circuit: CircuitProgram, source: StateVector
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The noisy output as a trigonometric polynomial in the over-rotation angle.
 
     Each of the D controlled gates adds ``Rx(theta) = z^-1 (I + X)/2 + z (I - X)/2``
     with ``z = exp(i theta / 2)``, so the output is ``psi(theta) = sum_m a_m z^m``
-    over m = -D..D. Returns ``(m, a)``: row ``r`` of ``a`` is the coefficient
-    of ``z^m[r]``, taken with one FFT over the outputs at the 2D + 1 node
-    angles ``theta_k = 4 pi k / (2D + 1)``, which are internal and lie
-    outside [-pi, pi] by design. The nodes run through the kernel
+    over m = -D..D. Returns ``(m, a, ideal)``: row ``r`` of ``a`` is the
+    coefficient of ``z^m[r]``, taken with one FFT over the outputs at the
+    2D + 1 node angles ``theta_k = 4 pi k / (2D + 1)``, which are internal and
+    lie outside [-pi, pi] by design; ``ideal`` is the output at node
+    ``theta_0 = 0``, the noiseless run. The nodes run through the kernel
     ``sim.BATCH_CHUNK`` at a time; their matrices and output states are
     checked as in a one-angle run.
     """
@@ -123,7 +123,7 @@ def _fourier_coefficients(
     psi = psi.reshape(nodes, -1)
     _check_normalized(psi)
     m = (np.arange(nodes) + degree) % nodes - degree
-    return m, np.fft.fft(psi, axis=0, norm="forward")
+    return m, np.fft.fft(psi, axis=0, norm="forward"), psi[0]
 
 
 def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -167,7 +167,8 @@ def fidelity_sweep(
     theta = 0. Rows follow the input grid order.
 
     The kernel runs 2D + 1 times per call, D the number of controlled gates,
-    whatever the grid length (:func:`_fourier_coefficients`). On each grid
+    whatever the grid length (:func:`_fourier_coefficients`); the ideal
+    output is node ``theta_0 = 0``, not a run of its own. On each grid
     angle, ``z = exp(i theta / 2)``, the overlap with the ideal output is
     ``sum_m b_m z^m`` with ``b_m = <ideal|a_m>``, and the squared norms of the
     output and of its flag-0 branch are polynomials read off Gram matrices
@@ -189,8 +190,8 @@ def fidelity_sweep(
     source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
     n = source.n_qubits
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-    ideal = apply_circuit(source, circuit)
-    m, a = _fourier_coefficients(circuit, source)
+    m, a, ideal = _fourier_coefficients(circuit, source)
+    ideal = StateVector(n, ideal)
     z = np.exp(0.5j * thetas)
     _check_norms(np.sqrt(_horner(_norm_polynomial(m, a), z).real))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:

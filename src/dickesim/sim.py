@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .gates import CircuitProgram, GateSpec
+from .gates import X_MATRIX, CircuitProgram, GateSpec
 
 NORM_ATOL = 1e-12
 # Branch probabilities below this are treated as impossible: never selected by
@@ -24,6 +25,11 @@ UNITARY_ORACLE_MAX_QUBITS = 12
 # check's basis columns) run this many states at a time, so their peak memory
 # does not grow with the number of states.
 BATCH_CHUNK = 16
+# The kernel applies a gate in blocks of at most this many amplitudes per
+# slice (256 KiB of complex128), so a block's two slices and the temporaries
+# of its update fit in one core's 2 MiB L2 cache.
+BLOCK_AMPLITUDES = 1 << 14
+_X_BYTES = X_MATRIX.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,18 +142,45 @@ def _evolve(
     are left bit-identical. ``matrices[i]``, if given, replaces
     ``gates[i].matrix``: either one ``(2, 2)`` matrix for the whole batch or a
     ``(T, 2, 2)`` stack with one matrix per index of the single batch axis.
+
+    A ``(2, 2)`` matrix equal to ``X_MATRIX`` byte for byte swaps the two
+    slices (one copy, two stores, no arithmetic); any other matrix computes
+    ``u00 * a0 + u01 * a1`` and ``u10 * a0 + u11 * a1``. When a slice, batch
+    included, holds more than ``BLOCK_AMPLITUDES`` amplitudes, the gate runs
+    block by block over the bit patterns of the leading free qubits (neither
+    control nor target), so each block's operands and temporaries stay in
+    the L2 cache instead of streaming through memory once per operation.
+    Blocking only splits the same elementwise expressions, so results do not
+    depend on the block size.
     """
     if matrices is None:
         matrices = [gate.matrix for gate in gates]
     for gate, u in zip(gates, matrices):
         fixed = [(c, 1) for c in gate.controls]
-        zero = _axis_index(n_qubits, fixed + [(gate.target, 0)])
-        one = _axis_index(n_qubits, fixed + [(gate.target, 1)])
-        a0, a1 = psi[zero], psi[one]
+        blocks = [fixed]
+        size = psi.size >> len(fixed) + 1
+        if size > BLOCK_AMPLITUDES:
+            # Fix the fewest leading free qubits that bring a slice down to
+            # BLOCK_AMPLITUDES, or all of them if the batch alone is larger.
+            free = [q for q in range(n_qubits) if q not in gate.qubits]
+            split = free[: (-(-size // BLOCK_AMPLITUDES) - 1).bit_length()]
+            blocks = [
+                fixed + list(zip(split, bits)) for bits in product((0, 1), repeat=len(split))
+            ]
+        swap = u.ndim == 2 and u.tobytes() == _X_BYTES
         if u.ndim == 3:
-            u = u.reshape((len(u),) + (1,) * (a0.ndim - 1) + (2, 2))
-        u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
-        psi[zero], psi[one] = u00 * a0 + u01 * a1, u10 * a0 + u11 * a1
+            kept = psi.ndim - len(blocks[0]) - 2
+            u = u.reshape((len(u),) + (1,) * kept + (2, 2))
+        if not swap:
+            u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+        for block in blocks:
+            zero = _axis_index(n_qubits, block + [(gate.target, 0)])
+            one = _axis_index(n_qubits, block + [(gate.target, 1)])
+            a0, a1 = psi[zero], psi[one]
+            if swap:
+                psi[zero], psi[one] = a1, a0.copy()
+            else:
+                psi[zero], psi[one] = u00 * a0 + u01 * a1, u10 * a0 + u11 * a1
 
 
 def _run(state: StateVector, gates: Sequence[GateSpec]) -> StateVector:

@@ -242,18 +242,22 @@ def test_sweep_at_max_steps_matches_per_angle_runs():
 
 
 def test_kernel_runs_2d_plus_1_states_per_call_whatever_the_grid(monkeypatch):
+    # in total: the ideal output is node theta_0 = 0, not a run of its own
     evolved = []
+    kernel = sim._evolve
 
-    def counting(psi, *args):
-        evolved.append(len(psi))
-        sim._evolve(psi, *args)
+    def counting(psi, n_qubits, *args):
+        evolved.append(psi.size >> n_qubits)
+        kernel(psi, n_qubits, *args)
 
+    monkeypatch.setattr(sim, "_evolve", counting)
     monkeypatch.setattr(noise, "_evolve", counting)
     degree = sum(1 for gate in build_d4_to_d5_circuit().gates if gate.controls)
     for steps in (1, 226, 100_000):
-        evolved.clear()
-        fidelity_sweep(np.linspace(-0.1, 0.1, steps))
-        assert sum(evolved) == 2 * degree + 1 == 33
+        for mode in FidelityMode:
+            evolved.clear()
+            fidelity_sweep(np.linspace(-0.1, 0.1, steps), mode=mode)
+            assert sum(evolved) == 2 * degree + 1 == 33
 
 
 def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypatch):
@@ -261,8 +265,8 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
 
     def scaled_by(factor):
         def coefficients(*args):
-            m, a = spectral(*args)
-            return m, a * factor
+            m, a, ideal = spectral(*args)
+            return m, a * factor, ideal
 
         return coefficients
 
@@ -273,10 +277,10 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
                 fidelity_sweep([0.0, 0.05], mode=mode)
 
     def flag_one_only(*args):
-        m, a = spectral(*args)
+        m, a, ideal = spectral(*args)
         constant = np.zeros_like(a)
         constant[0, 1] = 1.0  # |000001>, the flag (last qubit) is 1 at every angle
-        return m, constant
+        return m, constant, ideal
 
     monkeypatch.setattr(noise, "_fourier_coefficients", flag_one_only)
     assert fidelity_sweep([0.05], mode=FidelityMode.PRE_MEASUREMENT)[0].fidelity == 0.0
@@ -291,7 +295,7 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
 def expansion_coefficients():
     circuit = build_d4_to_d5_circuit()
     source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
-    m, a = noise._fourier_coefficients(circuit, source)
+    m, a, _ = noise._fourier_coefficients(circuit, source)
     return circuit, apply_circuit(source, circuit), m, a
 
 

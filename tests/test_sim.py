@@ -22,7 +22,7 @@ from dickesim import (
     reduced_density_matrix,
     tensor,
 )
-from dickesim import GateSpec, gates
+from dickesim import GateSpec, dicke_state, gates, sim
 from dickesim.sim import _evolve
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -162,6 +162,77 @@ def test_batch_axis_evolves_each_row_as_its_own_state():
             )
             expected = apply_circuit(state, CircuitProgram(n, row_gates, circuit.qubit_labels))
             np.testing.assert_array_equal(batch[row].reshape(-1), expected.amplitudes)
+
+
+def evolved_bytes(psi, n, circuit_gates, matrices=None):
+    out = psi.copy()
+    _evolve(out, n, circuit_gates, matrices)
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 4, 64, 1 << 62])
+def test_blocked_kernel_is_byte_identical_at_any_block_size(monkeypatch, block):
+    # blocks only split the same elementwise updates, so no single state,
+    # batch or (T, 2, 2) stack may move by a bit
+    rng = np.random.default_rng(37)
+    cases = []
+    for _ in range(20):
+        n, rows = int(rng.integers(1, 11)), int(rng.integers(1, 6))
+        circuit_gates = random_named_circuit(rng, n, 6).gates
+        circuit_gates += tuple(random_gate(rng, n) for _ in range(3))
+        stacks = [
+            np.array([random_unitary_2x2(rng) for _ in range(rows)]) if rng.random() < 0.5
+            else gate.matrix
+            for gate in circuit_gates
+        ]
+        single = random_state(rng, n).amplitudes.reshape((2,) * n)
+        batch = np.array([random_state(rng, n).amplitudes for _ in range(rows)])
+        batch = batch.reshape((rows,) + (2,) * n)
+        # the reference runs at the default constant, which splits none of these
+        assert batch.size // 2 <= sim.BLOCK_AMPLITUDES
+        cases += [(single, n, circuit_gates), (batch, n, circuit_gates),
+                  (batch, n, circuit_gates, stacks)]
+    expected = [evolved_bytes(*case) for case in cases]
+    monkeypatch.setattr(sim, "BLOCK_AMPLITUDES", block)
+    assert [evolved_bytes(*case) for case in cases] == expected
+
+
+def test_default_blocks_leave_a_large_register_byte_identical(monkeypatch):
+    rng = np.random.default_rng(41)
+    n = 16
+    circuit_gates = random_named_circuit(rng, n, 24).gates
+    assert any(not gate.controls for gate in circuit_gates)  # slices of 2^15 get split
+    psi = dicke_state(n, 8).amplitudes.reshape((2,) * n)
+    blocked = evolved_bytes(psi, n, circuit_gates)
+    monkeypatch.setattr(sim, "BLOCK_AMPLITUDES", 1 << 62)
+    assert evolved_bytes(psi, n, circuit_gates) == blocked
+
+
+@pytest.mark.parametrize(
+    "build, n_controls", [(gates.x, 0), (gates.cnot, 1), (gates.ccnot, 2), (gates.cccnot, 3)]
+)
+def test_x_type_gates_permute_amplitudes_exactly(build, n_controls):
+    rng = np.random.default_rng(43)
+    n = 5
+    for target in range(n):
+        others = [q for q in range(n) if q != target]
+        controls = [int(q) for q in rng.choice(others, n_controls, replace=False)]
+        gate = build(*controls, target)
+        state = random_state(rng, n)
+        out = apply_gate(state, gate).amplitudes
+        assert np.array_equal(out, gate_unitary(gate, n) @ state.amplitudes)
+        # the same matrix as a 1-stack takes the arithmetic path
+        stacked = state.amplitudes.reshape((1,) + (2,) * n).copy()
+        _evolve(stacked, n, (gate,), [gate.matrix[None]])
+        assert np.array_equal(out, stacked.reshape(-1))
+        # the swap moves every amplitude bit for bit, signed zeros included
+        parts = np.where(rng.random((2, 1 << n)) < 0.3, -0.0, rng.normal(size=(2, 1 << n)))
+        psi = np.empty(1 << n, dtype=complex)
+        psi.real, psi.imag = parts
+        index = np.arange(1 << n)
+        flip = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
+        expected = psi[index ^ np.where(flip, 1 << (n - 1 - target), 0)]
+        assert evolved_bytes(psi.reshape((2,) * n), n, (gate,)) == expected.tobytes()
 
 
 def test_control_locality_is_exact():
