@@ -1,8 +1,8 @@
 """Analytic (non-sampled) verification checks behind the ``verify`` subcommand.
 
 Each check compares a simulated quantity against its closed-form value and
-reports name, expected, actual and tolerance; numbers are rounded to 12
-significant digits for the machine-readable summary.
+reports name, expected, actual and tolerance; ``dickesim verify`` renders the
+list through the CLI's one table type, with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -61,20 +61,6 @@ class Check:
         if self.comparison == "le":
             return self.actual <= self.expected
         raise ValueError(f"unknown comparison {self.comparison!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": _sig12(self.expected),
-            "actual": _sig12(self.actual),
-            "tolerance": None if self.tolerance is None else _sig12(self.tolerance),
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-
-
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 def run_all_checks() -> list[Check]:

@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
 @dataclass(frozen=True)
 class Table:
     """Rows under named columns. Floats carry 12 significant digits in both
-    renderings: CSV text, and JSON records through :meth:`RunReport.to_json`."""
+    renderings: CSV text, and JSON records as ``json.dumps``'s ``default``."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
@@ -61,21 +61,6 @@ class Table:
             {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(self.columns, row)}
             for row in self.rows
         ]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Reproducible record of one CLI invocation; identical command and seed
-    reproduce the outputs bit for bit."""
-
-    command: str
-    seed: int
-    parameters: dict[str, Any]
-    outputs: Any
-    tool_version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True, default=Table.records) + "\n"
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -105,9 +90,17 @@ def _parameters(args: argparse.Namespace) -> dict[str, Any]:
 
 def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
     """Write the run report for --format json, otherwise ``text``; only the
-    requested form is rendered."""
+    requested form is rendered. Identical command and seed reproduce the
+    report bit for bit."""
     if args.format == "json":
-        text = RunReport(args.command, args.seed, _parameters(args), outputs).to_json()
+        report = {
+            "command": args.command,
+            "seed": args.seed,
+            "parameters": _parameters(args),
+            "outputs": outputs,
+            "tool_version": __version__,
+        }
+        text = json.dumps(report, indent=2, sort_keys=True, default=Table.records) + "\n"
     elif isinstance(text, Table):
         text = text.csv()
     _write(args, text)
@@ -240,12 +233,12 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checks = run_all_checks()
     failed = [check.name for check in checks if not check.passed]
-    summary = {
-        "checks": [check.to_dict() for check in checks],
-        "all_passed": not failed,
-        "tool_version": __version__,
-    }
-    _write(args, json.dumps(summary, indent=2) + "\n")
+    table = Table(
+        ("name", "expected", "actual", "tolerance", "comparison", "passed"),
+        [(c.name, c.expected, c.actual, c.tolerance, c.comparison, c.passed) for c in checks],
+    )
+    summary = {"checks": table, "all_passed": not failed, "tool_version": __version__}
+    _write(args, json.dumps(summary, indent=2, default=Table.records) + "\n")
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
     return 3 if failed else 0

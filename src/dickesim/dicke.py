@@ -199,13 +199,13 @@ def verify_decomposition(
     a_indices: Sequence[int],
     b_indices: Sequence[int],
     decomposition: DickeDecomposition,
-    atol: float = DECOMPOSITION_ATOL,
 ) -> bool:
     """Check that ``state`` equals sum_j c_j |D_A^{M-j}> (x) |D_B^{j}>.
 
     A keeps the relative order of ``a_indices``; B follows. The expected
     ``(2,) * n`` tensor is built as sum_j c_j D_A (x) D_B, its axes are moved
-    onto ``a_indices + b_indices``, and every amplitude must agree within ``atol``.
+    onto ``a_indices + b_indices``, and every amplitude must agree within
+    ``DECOMPOSITION_ATOL``.
     """
     a_indices = list(a_indices)
     b_indices = list(b_indices)
@@ -222,4 +222,4 @@ def verify_decomposition(
         d_a, d_b = _dicke_tensor(len(a_indices), t.a_excitations), _dicke_tensor(len(b_indices), t.j)
         expected += t.coefficient * np.multiply.outer(d_a, d_b)
     expected = np.moveaxis(expected, range(n), a_indices + b_indices)
-    return bool(np.all(np.abs(state.amplitudes.reshape((2,) * n) - expected) <= atol))
+    return bool(np.all(np.abs(state.amplitudes.reshape((2,) * n) - expected) <= DECOMPOSITION_ATOL))

@@ -45,15 +45,37 @@ def ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     """True iff ``matrix``, or every matrix of a ``(..., d, d)`` stack, is
-    unitary within ``atol``."""
+    unitary within ``UNITARY_ATOL``."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         return False
     deviation = np.swapaxes(matrix.conj(), -1, -2) @ matrix
     deviation -= np.eye(matrix.shape[-1])
-    return bool(np.max(np.abs(deviation)) <= atol)
+    return bool(np.max(np.abs(deviation)) <= UNITARY_ATOL)
+
+
+def _check_target_matrix(matrix: np.ndarray) -> None:
+    """Raise unless the complex ``matrix``, one ``(2, 2)`` target matrix or a
+    ``(..., 2, 2)`` stack of them, is finite and unitary."""
+    if not np.all(np.isfinite(matrix.view(float))):
+        raise ValueError("target matrix has non-finite entries")
+    if not is_unitary(matrix):
+        raise ValueError("target matrix is not unitary")
+
+
+def _named_matrix(name: str, theta: float | None) -> np.ndarray:
+    """The target matrix of the mnemonic ``name`` ("H", "X", "RX", "RY")."""
+    if name in ("H", "X"):
+        if theta is not None:
+            raise ValueError(f"gate {name} takes no angle")
+        return H_MATRIX if name == "H" else X_MATRIX
+    if name in ("RX", "RY"):
+        if theta is None:
+            raise ValueError(f"gate {name} requires an angle")
+        return rx_matrix(theta) if name == "RX" else ry_matrix(theta)
+    raise ValueError(f"unknown gate name {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +88,8 @@ class GateSpec:
         matrix: 2x2 unitary applied to the target qubit.
         label: free-form step label (e.g. "G12"); composite steps may share one.
         name: mnemonic of the target operation ("H", "X", "RX", "RY") for the
-            text format, or None for gates with no named form.
+            text format, or None for gates with no named form. A named gate's
+            ``matrix`` must equal the named one byte for byte.
         theta: angle parameter of the named operation, if it takes one.
     """
 
@@ -89,16 +112,24 @@ class GateSpec:
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError(f"target matrix must be 2x2, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix.view(float))):
-            raise ValueError("target matrix has non-finite entries")
-        if not is_unitary(matrix):
-            raise ValueError("target matrix is not unitary")
+        _check_target_matrix(matrix)
+        named = None if self.name is None else _named_matrix(self.name, self.theta)
+        if named is not None and matrix.tobytes() != named.tobytes():
+            raise ValueError(f"target matrix is not the matrix of gate {self.name}")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + (self.target,)
+
+    def check_fits(self, n_qubits: int) -> None:
+        """Raise unless every qubit of the gate lies in an ``n_qubits`` register."""
+        if max(self.qubits) >= n_qubits:
+            raise ValueError(
+                f"gate {self.label!r} touches qubit {max(self.qubits)}, "
+                f"but the register has {n_qubits} qubits"
+            )
 
     def mnemonic(self) -> str:
         """Wire-format gate token, e.g. "CNOT", "CCCNOT", "CH", "RY"."""
@@ -117,16 +148,7 @@ def make_gate(
 ) -> GateSpec:
     """Build a gate from a target-operation mnemonic ("H", "X", "RX", "RY")."""
     name = name.upper()
-    if name in ("H", "X"):
-        if theta is not None:
-            raise ValueError(f"gate {name} takes no angle")
-        matrix = H_MATRIX if name == "H" else X_MATRIX
-    elif name in ("RX", "RY"):
-        if theta is None:
-            raise ValueError(f"gate {name} requires an angle")
-        matrix = rx_matrix(theta) if name == "RX" else ry_matrix(theta)
-    else:
-        raise ValueError(f"unknown gate name {name!r}")
+    matrix = _named_matrix(name, theta)
     return GateSpec(tuple(controls), target, matrix, label=label, name=name, theta=theta)
 
 
@@ -176,11 +198,7 @@ class CircuitProgram:
             raise ValueError("qubit labels must be distinct")
         gates = tuple(self.gates)
         for g in gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ValueError(
-                    f"gate {g.label!r} touches qubit {max(g.qubits)}, "
-                    f"but the circuit has {self.n_qubits} qubits"
-                )
+            g.check_fits(self.n_qubits)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "qubit_labels", labels)
 

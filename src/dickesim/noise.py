@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sim
 from .dicke import dicke_state
-from .gates import CircuitProgram, GateSpec, is_unitary, rx_matrix
+from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
 from .protocols import EXPANSION_LAYOUT, build_d4_to_d5_circuit
 from .sim import (
     IMPOSSIBLE_BRANCH,
@@ -87,10 +87,7 @@ def _noisy_matrices(circuit: CircuitProgram, thetas: np.ndarray) -> list[np.ndar
     matrices = [gate.matrix for gate in circuit.gates]
     controlled = [i for i, gate in enumerate(circuit.gates) if gate.controls]
     stacks = rx @ np.array([matrices[i] for i in controlled])[:, None]
-    if not np.all(np.isfinite(stacks.view(float))):
-        raise ValueError("target matrix has non-finite entries")
-    if not is_unitary(stacks):
-        raise ValueError("target matrix is not unitary")
+    _check_target_matrix(stacks)
     for i, stack in zip(controlled, stacks):
         matrices[i] = stack
     return matrices

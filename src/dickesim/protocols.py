@@ -35,7 +35,6 @@ from .sim import (
     tensor,
 )
 
-PURITY_ATOL = 1e-10
 # Shots sampled per vectorized step of run_protocol_stats. Bounds its scratch
 # memory (a few arrays of this length); the result does not depend on it.
 SHOT_CHUNK = 1 << 10

@@ -109,14 +109,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _check_gate_fits(gate: GateSpec, n_qubits: int) -> None:
-    if max(gate.qubits) >= n_qubits:
-        raise ValueError(
-            f"gate {gate.label!r} touches qubit {max(gate.qubits)}, "
-            f"state has {n_qubits} qubits"
-        )
-
-
 def _axis_index(n_qubits: int, fixed: Sequence[tuple[int, int]]) -> tuple:
     """Index into the ``(2,) * n_qubits`` view of a state that fixes the axis
     of each ``(qubit, bit)`` pair to that bit and keeps every other axis whole."""
@@ -196,7 +188,7 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
 
     Amplitudes whose control bits are not all 1 are copied bit-identically.
     """
-    _check_gate_fits(gate, state.n_qubits)
+    gate.check_fits(state.n_qubits)
     return _run(state, (gate,))
 
 
@@ -311,7 +303,7 @@ def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
     Each factor is ``np.kron``'s own definition, an outer product reshaped,
     without its per-call overhead.
     """
-    _check_gate_fits(gate, n_qubits)
+    gate.check_fits(n_qubits)
     projector_one = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     delta = gate.matrix - np.eye(2)
     factor = np.ones((1, 1), dtype=complex)

@@ -69,6 +69,18 @@ def test_gatespec_rejects_wrong_shape():
         GateSpec((), 0, np.eye(4, dtype=complex))
 
 
+def test_gatespec_name_must_name_its_matrix():
+    # A mismatched name is what the text format writes: H under "X" would be
+    # written as CNOT and read back as X; the identity under "RX" would be
+    # written with no angle, which parse_circuit rejects.
+    with pytest.raises(ValueError, match="not the matrix of gate X"):
+        GateSpec((0,), 1, gates.H_MATRIX, name="X")
+    with pytest.raises(ValueError, match="requires an angle"):
+        GateSpec((), 0, np.eye(2), name="RX")
+    with pytest.raises(ValueError, match="not the matrix of gate RY"):
+        GateSpec((), 0, ry_matrix(0.3), name="RY", theta=0.1)
+
+
 def test_mnemonics():
     assert gates.h(0).mnemonic() == "H"
     assert gates.x(0).mnemonic() == "X"

@@ -71,6 +71,27 @@ def test_statevector_amplitudes_are_readonly():
         state.amplitudes[0] = 0
 
 
+def test_statevector_keeps_its_own_copy_of_the_amplitudes():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    state = StateVector(1, amps)
+    amps[:] = [0.0, 1.0]
+    assert np.array_equal(state.amplitudes, [1, 0])
+
+
+def test_operations_leave_their_input_states_unchanged():
+    rng = np.random.default_rng(17)
+    a, b, c = random_state(rng, 3), random_state(rng, 2), new_basis_state(3, "010")
+    inputs = (a, b, c)
+    before = [s.amplitudes.tobytes() for s in inputs]
+    circuit = CircuitProgram(3, (gates.h(0), gates.cnot(0, 2), gates.ry(0.4, 1)), ("p", "q", "r"))
+    apply_gate(a, gates.ccnot(0, 1, 2))
+    apply_circuit(a, circuit)
+    postselect(a, 1, 0)
+    drop_qubit(c, 1, 1)
+    tensor(a, b)
+    assert [s.amplitudes.tobytes() for s in inputs] == before
+
+
 # ---------------------------------------------------------------------------
 # gate application
 
@@ -94,8 +115,13 @@ def test_cccnot_fires_only_when_all_controls_set():
 
 
 def test_apply_gate_index_out_of_range():
-    with pytest.raises(ValueError):
+    # apply_gate, gate_unitary and CircuitProgram share one range check.
+    with pytest.raises(ValueError, match="touches qubit 2"):
         apply_gate(new_basis_state(2, "00"), gates.x(2))
+    with pytest.raises(ValueError, match="touches qubit 2"):
+        gate_unitary(gates.cnot(2, 0), 2)
+    with pytest.raises(ValueError, match="touches qubit 2"):
+        CircuitProgram(2, (gates.x(2),), ("a", "b"))
 
 
 def test_empty_circuit_is_identity():
