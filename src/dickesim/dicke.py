@@ -28,15 +28,27 @@ def dicke_state(n: int, k: int) -> StateVector:
         raise ValueError("need at least one qubit")
     if not 0 <= k <= n:
         raise ValueError(f"excitation count {k} outside [0, {n}]")
-    return StateVector(n, _dicke_tensor(n, k).reshape(-1))
+    amps = np.zeros(1 << n, dtype=complex)
+    amps.real[_hamming_weights(n).reshape(-1) == k] = 1.0 / math.sqrt(math.comb(n, k))
+    amps.flags.writeable = False
+    return StateVector(n, amps)
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """Hamming weight of every n-bit basis string as a ``(2,) * n`` tensor.
+
+    Each step prepends a qubit axis, so ``np.add.outer`` runs two inner loops
+    over the whole previous tensor rather than one loop of length 2 per entry.
+    """
+    weights = np.zeros((), dtype=np.uint8)
+    for _ in range(n):
+        weights = np.add.outer(np.array([0, 1], dtype=np.uint8), weights)
+    return weights
 
 
 def _dicke_tensor(n: int, k: int) -> np.ndarray:
     """Real amplitudes of D(n, k) as a ``(2,) * n`` tensor; n may be 0."""
-    weights = np.zeros((), dtype=np.uint8)  # Hamming weight of every basis string
-    for _ in range(n):
-        weights = np.add.outer(weights, np.array([0, 1], dtype=np.uint8))
-    return np.where(weights == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
+    return np.where(_hamming_weights(n) == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
 
 
 def w_state(n: int) -> StateVector:

@@ -34,7 +34,15 @@ _X_BYTES = X_MATRIX.tobytes()
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over the computational basis."""
+    """Normalized complex amplitudes over the computational basis.
+
+    The amplitudes are validated once, here. An array that is complex128,
+    C-contiguous, owns its data (``base is None``) and is already read-only
+    is adopted as it is; every other input is copied. Setting a fresh array
+    read-only is how a producer hands it over: the ones in this module and
+    in ``dicke`` allocate one flat array, write it, set it read-only and
+    pass it in, so each state is allocated once.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -42,7 +50,15 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = self.amplitudes
+        if not (
+            isinstance(amps, np.ndarray)
+            and amps.dtype == complex
+            and amps.base is None
+            and amps.flags.c_contiguous
+            and not amps.flags.writeable
+        ):
+            amps = np.array(amps, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
@@ -64,11 +80,16 @@ def _check_normalized(amps: np.ndarray) -> None:
 
     Each norm is one dot product of the row's float view: on the 705,432
     equal amplitudes of D(22, 11) that rounds to 2e-13, where
-    ``np.linalg.norm``'s near-sequential sum is off by 1.1e-12."""
+    ``np.linalg.norm``'s near-sequential sum is off by 1.1e-12. A NaN or
+    infinite amplitude makes its row's norm NaN or infinite, so finiteness
+    is checked only when a norm fails, to name the cause."""
     f = amps.view(float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("amplitudes contain NaN or Inf")
-    _check_norms(np.sqrt(f[..., None, :] @ f[..., None]))
+    try:
+        _check_norms(np.sqrt(f[..., None, :] @ f[..., None]))
+    except ValueError:
+        if not np.all(np.isfinite(f)):
+            raise ValueError("amplitudes contain NaN or Inf") from None
+        raise
 
 
 def _check_norms(norms: np.ndarray) -> None:
@@ -101,12 +122,17 @@ def new_basis_state(n_qubits: int, bits: str) -> StateVector:
         raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
     amps = np.zeros(1 << n_qubits, dtype=complex)
     amps[basis_index(bits)] = 1.0
+    amps.flags.writeable = False
     return StateVector(n_qubits, amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product with ``a``'s qubits first (most significant)."""
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
+    a_amps, b_amps = a.amplitudes, b.amplitudes
+    amps = np.empty(a_amps.size * b_amps.size, dtype=complex)
+    np.multiply.outer(a_amps, b_amps, out=amps.reshape(a_amps.size, b_amps.size))
+    amps.flags.writeable = False
+    return StateVector(a.n_qubits + b.n_qubits, amps)
 
 
 def _axis_index(n_qubits: int, fixed: Sequence[tuple[int, int]]) -> tuple:
@@ -178,9 +204,10 @@ def _evolve(
 def _run(state: StateVector, gates: Sequence[GateSpec]) -> StateVector:
     """Copy the amplitudes once, evolve them through ``gates`` and validate
     the result once."""
-    psi = state.amplitudes.reshape((2,) * state.n_qubits).copy()
-    _evolve(psi, state.n_qubits, gates)
-    return StateVector(state.n_qubits, psi.reshape(-1))
+    amps = state.amplitudes.copy()
+    _evolve(amps.reshape((2,) * state.n_qubits), state.n_qubits, gates)
+    amps.flags.writeable = False
+    return StateVector(state.n_qubits, amps)
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
@@ -225,9 +252,10 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
         raise ValueError(
             f"outcome {outcome} on qubit {qubit} has probability {prob!r}"
         )
-    amps = np.zeros_like(psi)
-    amps[branch] = psi[branch] / math.sqrt(prob)
-    return prob, StateVector(state.n_qubits, amps.reshape(-1))
+    amps = np.zeros(psi.size, dtype=complex)
+    np.divide(psi[branch], math.sqrt(prob), out=amps.reshape(psi.shape)[branch])
+    amps.flags.writeable = False
+    return prob, StateVector(state.n_qubits, amps)
 
 
 def measure_qubit(
@@ -262,7 +290,9 @@ def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
         raise ValueError(
             f"qubit {qubit} is not in |{outcome}>: residual amplitude {leftover!r}"
         )
-    return StateVector(state.n_qubits - 1, psi[kept].reshape(-1))
+    amps = psi[kept].flatten()
+    amps.flags.writeable = False
+    return StateVector(state.n_qubits - 1, amps)
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

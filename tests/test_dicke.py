@@ -24,11 +24,8 @@ from dickesim import (
     wlike_state,
 )
 from dickesim import gates
+from dickesim.dicke import _dicke_tensor
 from dickesim.sim import NORM_ATOL
-
-
-def hamming_indices(n, k):
-    return [i for i in range(1 << n) if bin(i).count("1") == k]
 
 
 def permute_qubits(state, permutation):
@@ -64,11 +61,18 @@ def test_dicke_zero_excitations():
 
 
 def test_dicke_state_matches_bit_count_loop():
-    for n in range(1, 9):
+    # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0
+    for n in range(15):
+        index = np.arange(1 << n)
+        popcount = sum((index >> q) & 1 for q in range(n))
         for k in range(n + 1):
-            expected = np.zeros(1 << n, dtype=complex)
-            expected[hamming_indices(n, k)] = 1 / math.sqrt(math.comb(n, k))
-            np.testing.assert_array_equal(dicke_state(n, k).amplitudes, expected)
+            expected = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
+            tensor = _dicke_tensor(n, k)
+            assert tensor.shape == (2,) * n
+            assert tensor.tobytes() == expected.tobytes()
+            if n:
+                amplitudes = dicke_state(n, k).amplitudes
+                assert amplitudes.tobytes() == expected.astype(complex).tobytes()
 
 
 def test_dicke_22_11_passes_its_norm_check():

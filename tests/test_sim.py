@@ -78,6 +78,73 @@ def test_statevector_keeps_its_own_copy_of_the_amplitudes():
     assert np.array_equal(state.amplitudes, [1, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [1, 1j])
+def test_statevector_rejects_non_finite_amplitudes(bad, part):
+    with pytest.raises(ValueError, match="amplitudes contain NaN or Inf"):
+        StateVector(2, np.array([0.5, bad * part, 0.5, 0.5]))
+
+
+def test_squared_norm_overflow_is_not_normalized_rather_than_non_finite():
+    # every amplitude is finite, but the squared norm overflows to inf (and
+    # numpy warns of the overflow in the dot product)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"not normalized: \|psi\| = inf"):
+        StateVector(1, np.array([1e200, 0.0]))
+
+
+def test_batched_norm_check_rejects_one_bad_row():
+    rows = np.tile(dicke_state(2, 1).amplitudes, (4, 1))
+    sim._check_normalized(rows)
+    nan_row, long_row = rows.copy(), rows.copy()
+    nan_row[2, 1] = complex(0.0, np.nan)
+    long_row[3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="amplitudes contain NaN or Inf"):
+        sim._check_normalized(nan_row)
+    with pytest.raises(ValueError, match="not normalized"):
+        sim._check_normalized(long_row)
+
+
+def test_statevector_adopts_only_read_only_complex_arrays_that_own_their_data():
+    owned = np.array([1.0, 0.0], dtype=complex)
+    owned.flags.writeable = False
+    assert StateVector(1, owned).amplitudes is owned
+    writable = np.array([1.0, 0.0], dtype=complex)
+    view = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)[:2]
+    view.flags.writeable = False
+    real = np.array([1.0, 0.0])
+    real.flags.writeable = False
+    for amps in (writable, view, real):
+        adopted = StateVector(1, amps).amplitudes
+        assert not np.shares_memory(adopted, amps)
+        assert adopted.base is None and not adopted.flags.writeable
+        assert adopted.dtype == complex
+
+
+def test_operations_return_read_only_amplitudes_of_their_own():
+    # each result owns one fresh array, shared with none of its inputs
+    rng = np.random.default_rng(23)
+    a, b = random_state(rng, 3), random_state(rng, 2)
+    factor = new_basis_state(3, "010")
+    circuit = CircuitProgram(3, (gates.h(0), gates.x(2), gates.ry(0.4, 1)), ("p", "q", "r"))
+    results = [
+        (dicke_state(5, 2), ()),
+        (factor, ()),
+        (tensor(a, b), (a, b)),
+        (apply_gate(a, gates.ccnot(0, 1, 2)), (a,)),
+        (apply_gate(a, gates.x(1)), (a,)),
+        (apply_circuit(a, circuit), (a,)),
+        (postselect(a, 1, 0)[1], (a,)),
+        (measure_qubit(a, 2, 0.5)[1], (a,)),
+    ]
+    # qubit 0's branch is a contiguous view of the input; the others are not
+    results += [(drop_qubit(factor, q, int(bit)), (factor,)) for q, bit in enumerate("010")]
+    for state, inputs in results:
+        assert not state.amplitudes.flags.writeable
+        assert StateVector(state.n_qubits, state.amplitudes).amplitudes is state.amplitudes
+        for source in inputs:
+            assert not np.shares_memory(state.amplitudes, source.amplitudes)
+
+
 def test_operations_leave_their_input_states_unchanged():
     rng = np.random.default_rng(17)
     a, b, c = random_state(rng, 3), random_state(rng, 2), new_basis_state(3, "010")
