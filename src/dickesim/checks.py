@@ -100,10 +100,10 @@ def run_all_checks() -> list[Check]:
     # Deterministic preparation chain.
     w3 = apply_circuit(new_basis_state(3, "000"), build_w3_circuit())
     ge("w3_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(w3, w_state(3)))
-    d4 = apply_circuit(new_basis_state(4, "0000"), build_d4_prep_circuit())
+    d4_prep = build_d4_prep_circuit()
+    d4 = apply_circuit(new_basis_state(4, "0000"), d4_prep)
     ge("d4_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(d4, dicke_state(4, 2)))
-    two_qubit_gates = build_d4_prep_circuit().count_gates(1)
-    eq("two_qubit_controlled_gate_count", 6, two_qubit_gates, 0.0)
+    eq("two_qubit_controlled_gate_count", 6, d4_prep.count_gates(1), 0.0)
 
     # Recycling the W-like remnant (after mapping it to single-excitation form).
     flipped = wlike_state()

@@ -33,7 +33,7 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 
 # Upper limits on work requested from the command line; larger values exit 2
 # instead of running for hours or failing to allocate.
-MAX_SHOTS = 10**9  # about 80 s of sampling at ~80 ns per shot
+MAX_SHOTS = 10**9  # sampling is one multinomial draw, the same cost at any count
 MAX_STEPS = 100_000  # about 0.5-1 s end to end on 2 cores, mostly import and CSV output
 MAX_QUBITS = 5_000  # --total + --added; worst case about 1.4 s (decompose, M = k = N/2)
 

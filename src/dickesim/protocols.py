@@ -35,10 +35,6 @@ from .sim import (
     tensor,
 )
 
-# Shots sampled per vectorized step of run_protocol_stats. Bounds its scratch
-# memory (a few arrays of this length); the result does not depend on it.
-SHOT_CHUNK = 1 << 10
-
 # |0> -> sqrt(2/3)|0> + sqrt(1/3)|1> seeds the three-term superposition.
 W3_ROTATION_ANGLE = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 
@@ -245,22 +241,18 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
 
     Each shot measures all six qubits of the pre-measurement state in the
     computational basis; the flag is the last bit of the reported bitstring.
-    Shot i's uniform is the i-th double drawn from
-    ``np.random.Generator(np.random.Philox(key=seed))``: a pure function of
-    (seed, i), independent of how the shots are split into chunks. It can be
-    reached directly by advancing a fresh ``Philox(key=seed)`` by ``i // 4``
-    counter blocks (four doubles each) and taking the ``i % 4 + 1``-th draw.
+    The histogram of independent shots is Multinomial(shots, |psi_i|^2), so
+    it is drawn in one call of
+    ``np.random.Generator(np.random.Philox(key=seed)).multinomial``: a pure
+    function of (seed, shots), at a cost that does not grow with ``shots``.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     pre = expansion_premeasurement(dicke_state(4, 2))
-    cdf = np.cumsum(np.abs(pre.amplitudes) ** 2)
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    totals = np.zeros(cdf.size, dtype=np.int64)
-    for start in range(0, shots, SHOT_CHUNK):
-        uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        totals += np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=cdf.size)
+    probs = np.abs(pre.amplitudes) ** 2
+    # Normalized within NORM_ATOL only; multinomial rejects a sum above 1.
+    probs /= probs.sum()
+    totals = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, probs)
     counts = {pre.bitstring(int(i)): int(totals[i]) for i in np.flatnonzero(totals)}
     # The flag is the last bit, so flag-0 outcomes are the even indices.
     return ProtocolStats(shots=shots, successes=int(totals[::2].sum()), counts=counts)

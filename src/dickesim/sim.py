@@ -252,10 +252,16 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
         raise ValueError(
             f"outcome {outcome} on qubit {qubit} has probability {prob!r}"
         )
+    return prob, _collapse(state, psi, branch, prob)
+
+
+def _collapse(state: StateVector, psi: np.ndarray, branch: tuple, prob: float) -> StateVector:
+    """``state`` projected onto ``branch`` of its view ``psi`` and divided by
+    the square root of the branch's probability ``prob``."""
     amps = np.zeros(psi.size, dtype=complex)
     np.divide(psi[branch], math.sqrt(prob), out=amps.reshape(psi.shape)[branch])
     amps.flags.writeable = False
-    return prob, StateVector(state.n_qubits, amps)
+    return StateVector(state.n_qubits, amps)
 
 
 def measure_qubit(
@@ -270,15 +276,11 @@ def measure_qubit(
         raise ValueError(f"uniform_random must lie in [0, 1), got {uniform_random!r}")
     psi, branch0 = _branch(state, qubit, 0)
     p0 = float(np.sum(np.abs(psi[branch0]) ** 2))
-    if p0 < IMPOSSIBLE_BRANCH:
-        outcome = 1
-    elif 1.0 - p0 < IMPOSSIBLE_BRANCH:
-        outcome = 0
-    else:
-        outcome = 0 if uniform_random < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    _, collapsed = postselect(state, qubit, outcome)
-    return MeasurementRecord(qubit, outcome, prob), collapsed
+    if p0 >= IMPOSSIBLE_BRANCH and (uniform_random < p0 or 1.0 - p0 < IMPOSSIBLE_BRANCH):
+        # The outcome-0 branch is already summed; collapse onto it directly.
+        return MeasurementRecord(qubit, 0, p0), _collapse(state, psi, branch0, p0)
+    _, collapsed = postselect(state, qubit, 1)
+    return MeasurementRecord(qubit, 1, 1.0 - p0), collapsed
 
 
 def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:

@@ -124,6 +124,13 @@ def test_sample_rejects_more_than_max_shots(shots, capsys):
     assert "--shots must be between 1 and 1000000000" in capsys.readouterr().err
 
 
+def test_sample_at_max_shots(tmp_path):
+    out = tmp_path / "hist.csv"
+    assert run_cli(["sample", "--shots", "1000000000", "--seed", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert sum(int(r[1]) for r in rows) == 10**9
+
+
 def test_sample_unwritable_path():
     code = run_cli(
         ["sample", "--shots", "1", "--out", "/nonexistent-dir/deep/h.csv"]

@@ -29,8 +29,8 @@ for _fmt in ("csv", "json"):
     for _target in ("w3", "d4"):
         CASES[f"prepare_{_target}_circuit_{_fmt}"] = [
             "prepare", _target, "--emit", "circuit", "--format", _fmt]
-    # The sample goldens pin the shot stream (Philox keyed by the seed); any
-    # change to how shots draw their uniforms changes them.
+    # The sample goldens pin the histogram's one multinomial draw (Philox keyed
+    # by the seed); any change to how the histogram is drawn changes them.
     CASES[f"sample_{_fmt}"] = ["sample", "--shots", "1000", "--seed", "42", "--format", _fmt]
     CASES[f"pmax_{_fmt}"] = ["pmax", *_PAPER, "--format", _fmt]
     CASES[f"pmax_added_{_fmt}"] = [

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import (
     StateVector,
@@ -26,7 +28,7 @@ from dickesim import (
     w_state,
     wlike_state,
 )
-from dickesim import gates, protocols
+from dickesim import gates
 from dickesim.gates import CircuitProgram
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -278,28 +280,30 @@ def test_stats_seed_changes_outcomes():
     assert a.counts != b.counts
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024, 1 << 17])
-def test_stats_do_not_depend_on_chunk_size(monkeypatch, chunk):
-    reference = run_protocol_stats(123457, seed=31)
-    monkeypatch.setattr(protocols, "SHOT_CHUNK", chunk)
-    stats = run_protocol_stats(123457, seed=31)
-    assert stats.counts == reference.counts
-    assert stats.successes == reference.successes
-
-
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_shot_outcome_is_a_function_of_seed_and_index(seed):
-    """Shot i's uniform is reached directly: advance a fresh Philox(key=seed)
-    by i // 4 counter blocks and take draw i % 4 of the next four."""
+def _support_probabilities():
+    """Born probabilities of the 64 outcome strings, and the mask of the
+    13 that can occur."""
     pre = expansion_premeasurement(dicke_state(4, 2))
-    cdf = np.cumsum(np.abs(pre.amplitudes) ** 2)
-    cdf[-1] = 1.0
-    for i in (0, 3, 4, 1023, 1024, 2049):
-        bit_generator = np.random.Philox(key=seed)
-        bit_generator.advance(i // 4)
-        uniform = np.random.Generator(bit_generator).random(i % 4 + 1)[-1]
-        expected = pre.bitstring(int(np.searchsorted(cdf, uniform, side="right")))
-        before = run_protocol_stats(i, seed).counts if i else {}
-        after = run_protocol_stats(i + 1, seed).counts
-        shot = {b: c - before.get(b, 0) for b, c in after.items() if c != before.get(b, 0)}
-        assert shot == {expected: 1}, i
+    probs = np.abs(pre.amplitudes) ** 2
+    return pre, probs, np.abs(pre.amplitudes) > 1e-12
+
+
+def test_stats_bins_match_born_probabilities():
+    shots = 10**6
+    stats = run_protocol_stats(shots, seed=2718)
+    pre, probs, support = _support_probabilities()
+    counts = np.array([stats.counts.get(pre.bitstring(i), 0) for i in range(64)])
+    assert not counts[~support].any()
+    stderr = np.sqrt(shots * probs * (1 - probs))
+    assert np.all(np.abs(counts - shots * probs) <= 5 * stderr)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 10**9), st.integers(0, 2**64 - 1))
+def test_stats_histogram_is_consistent(shots, seed):
+    stats = run_protocol_stats(shots, seed)
+    pre, _, support = _support_probabilities()
+    allowed = {pre.bitstring(i) for i in np.flatnonzero(support)}
+    assert sum(stats.counts.values()) == shots
+    assert set(stats.counts) <= allowed
+    assert stats.successes == sum(c for b, c in stats.counts.items() if b[-1] == "0")

@@ -393,6 +393,20 @@ def test_measurement_statistics_match_born_rule():
     assert abs(hits / shots - p0) <= bound
 
 
+def test_measure_collapses_like_postselect_byte_for_byte():
+    rng = np.random.default_rng(606)
+    for n in range(1, 11):
+        state = random_state(rng, n)
+        qubit = int(rng.integers(n))
+        p0, _ = postselect(state, qubit, 0)
+        # Uniforms just below and at P(qubit = 0) select outcome 0, then 1.
+        for uniform, outcome in ((np.nextafter(p0, 0.0), 0), (p0, 1)):
+            record, collapsed = measure_qubit(state, qubit, uniform)
+            assert record.outcome == outcome
+            expected = postselect(state, qubit, outcome)[1].amplitudes
+            assert collapsed.amplitudes.tobytes() == expected.tobytes()
+
+
 def test_postselect_impossible_branch():
     with pytest.raises(ValueError, match="probability"):
         postselect(new_basis_state(1, "0"), 0, 1)
