@@ -7,6 +7,8 @@ Exit codes: 0 success, 2 usage error, 3 check failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import math
 import os
@@ -68,10 +70,16 @@ def _write(args: argparse.Namespace, text: str) -> None:
     if not args.out:
         sys.stdout.write(text)
         return
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     directory = os.path.dirname(os.path.abspath(args.out))
     tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
-    # Mode 0o666 less the umask, as a plain open gives (mkstemp would give 0600).
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        # Mode 0o666 less the umask, as a plain open gives (mkstemp would give 0600).
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # Name the path the user gave, not the temporary file.
+        raise OSError(exc.errno, exc.strerror, args.out) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -252,7 +260,8 @@ def _u64(text: str) -> int:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, handler: Callable[..., int]) -> None:
-    sub.set_defaults(handler=handler)
+    # The handler reports usage errors through its own subcommand's parser.
+    sub.set_defaults(handler=functools.partial(handler, parser=sub))
     sub.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument(
@@ -280,7 +289,9 @@ def _add_bipartition_flags(
     _add_common_flags(sub, handler)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="dickesim",
         description="Statevector simulation of Dicke-state expansion under restricted qubit access.",
@@ -320,16 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="run the analytic check suite")
     verify.add_argument("--out", default=None, help="output file (default: stdout)")
-    verify.set_defaults(handler=cmd_verify)
+    verify.set_defaults(handler=functools.partial(cmd_verify, parser=verify))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -16,9 +16,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import sim
-from .dicke import dicke_state
 from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
-from .protocols import EXPANSION_LAYOUT, build_d4_to_d5_circuit
+from .protocols import EXPANSION_LAYOUT, NOMINAL_INPUT, build_d4_to_d5_circuit
 from .sim import (
     IMPOSSIBLE_BRANCH,
     StateVector,
@@ -26,9 +25,7 @@ from .sim import (
     _check_normalized,
     _check_norms,
     _evolve,
-    new_basis_state,
     postselect,
-    tensor,
 )
 
 
@@ -158,7 +155,7 @@ def fidelity_sweep(
 ) -> list[SweepRow]:
     """Fidelity of the noisy expansion against the ideal one, per grid angle.
 
-    The input is always the 4-qubit Dicke state with |00> ancillas appended.
+    The input is always ``protocols.NOMINAL_INPUT``, D(4,2) with |00> ancillas.
     PRE_MEASUREMENT compares the full 6-qubit outputs; POST_SELECTED_SUCCESS
     compares the renormalized flag-0 branches. Both give fidelity 1 at
     theta = 0. Rows follow the input grid order.
@@ -183,11 +180,9 @@ def fidelity_sweep(
     bad = ~(np.abs(thetas) <= math.pi)  # NaN fails the comparison too
     if bad.any():
         _check_angle(grid[int(np.argmax(bad))])
-    circuit = build_d4_to_d5_circuit()
-    source = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
-    n = source.n_qubits
+    n = NOMINAL_INPUT.n_qubits
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-    m, a, ideal = _fourier_coefficients(circuit, source)
+    m, a, ideal = _fourier_coefficients(build_d4_to_d5_circuit(), NOMINAL_INPUT)
     ideal = StateVector(n, ideal)
     z = np.exp(0.5j * thetas)
     _check_norms(np.sqrt(_horner(_norm_polynomial(m, a), z).real))

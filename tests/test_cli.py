@@ -1,4 +1,5 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
+import argparse
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from dickesim import gates
 from dickesim.cli import main
 
 
@@ -131,11 +133,12 @@ def test_sample_at_max_shots(tmp_path):
     assert sum(int(r[1]) for r in rows) == 10**9
 
 
-def test_sample_unwritable_path():
+def test_sample_unwritable_path(capsys):
     code = run_cli(
         ["sample", "--shots", "1", "--out", "/nonexistent-dir/deep/h.csv"]
     )
     assert code == 4
+    assert "'/nonexistent-dir/deep/h.csv'" in capsys.readouterr().err
 
 
 def test_sample_json_report(capsys):
@@ -340,6 +343,67 @@ def test_out_file_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
         os.umask(previous)
     assert code == 0
     assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("argv", [["sample", "--shots", "1"], ["verify"]], ids=["sample", "verify"])
+def test_out_directory_is_refused_before_anything_is_written(tmp_path, argv, capsys):
+    target = tmp_path / "sub"
+    target.mkdir()
+    assert run_cli([*argv, "--out", str(target)]) == 4
+    assert f"Is a directory: {str(target)!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert not any(target.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# usage errors and per-call cost
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--shots", "0"], "--shots must be between 1 and 1000000000"),
+        (["pmax", "--total", "4", "--excitations", "2", "--accessible", "1"],
+         "accessibility constraint"),
+    ],
+    ids=["sample", "pmax"],
+)
+def test_handler_usage_errors_name_their_subcommand(argv, message, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dickesim {argv[0]} ")
+    assert f"dickesim {argv[0]}: error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, most_gates",
+    [
+        (["sample", "--shots", "100", "--seed", "1"], 0),
+        (["sweep", "--steps", "5"], 0),
+        # run_all_checks builds its own X flips: three for recycling, one on d4.
+        (["verify"], 4),
+    ],
+    ids=["sample", "sweep", "verify"],
+)
+def test_repeat_calls_build_no_parser_and_no_circuit(argv, most_gates, monkeypatch, capsys):
+    assert run_cli(argv) == 0  # warm-up
+    built = {"gates": 0, "parsers": 0}
+    gate_init = gates.GateSpec.__post_init__
+    parser_init = argparse.ArgumentParser.__init__
+
+    def counting_gate_init(self):
+        built["gates"] += 1
+        gate_init(self)
+
+    def counting_parser_init(self, *args, **kwargs):
+        built["parsers"] += 1
+        parser_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gates.GateSpec, "__post_init__", counting_gate_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_parser_init)
+    assert run_cli(argv) == 0
+    assert built["parsers"] == 0
+    assert built["gates"] <= most_gates
 
 
 def test_version_flag(capsys):

@@ -28,7 +28,7 @@ from dickesim import (
     w_state,
     wlike_state,
 )
-from dickesim import gates
+from dickesim import gates, protocols
 from dickesim.gates import CircuitProgram
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -96,6 +96,29 @@ def test_combined_preparation_has_six_two_qubit_gates():
     assert circuit.count_gates(1) == 6
     out = apply_circuit(new_basis_state(4, "0000"), circuit)
     assert fidelity_pure(out, dicke_state(4, 2)) >= 1 - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the shared instance
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [build_w3_circuit, build_w3_to_d4_circuit, build_d4_prep_circuit, build_d4_to_d5_circuit],
+)
+def test_builders_return_one_read_only_circuit(builder):
+    circuit = builder()
+    assert builder() is circuit
+    for gate in circuit.gates:
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 2.0
+
+
+def test_nominal_input_is_d42_with_two_zero_ancillas():
+    expected = np.kron(dicke_state(4, 2).amplitudes, new_basis_state(2, "00").amplitudes)
+    assert protocols.NOMINAL_INPUT.amplitudes.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        protocols.NOMINAL_INPUT.amplitudes[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
