@@ -47,7 +47,6 @@ from .protocols import (
     verify_untouched,
 )
 from .sim import (
-    MeasurementRecord,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -55,7 +54,6 @@ from .sim import (
     drop_qubit,
     fidelity_pure,
     gate_unitary,
-    measure_qubit,
     new_basis_state,
     postselect,
     purity,

@@ -76,15 +76,15 @@ def run_all_checks() -> list[Check]:
         checks.append(Check(name, float(bound), float(actual), None, "le"))
 
     # Expansion protocol branches, evolved analytically.
-    success = run_expansion(dicke_state(4, 2), 0.0)
-    eq("flag_probability", 5.0 / 6.0, success.flag_record.probability, 1e-12)
+    success = run_expansion(dicke_state(4, 2), 0)
+    eq("flag_probability", 5.0 / 6.0, success.probability, 1e-12)
     ge(
         "success_fidelity",
         1.0 - 1e-10,
         fidelity_pure(success.success_state, dicke_state(5, 3)),
     )
-    failure = run_expansion(dicke_state(4, 2), 0.999)
-    eq("failure_probability", 1.0 / 6.0, failure.flag_record.probability, 1e-12)
+    failure = run_expansion(dicke_state(4, 2), 1)
+    eq("failure_probability", 1.0 / 6.0, failure.probability, 1e-12)
     ge(
         "remnant_fidelity",
         1.0 - 1e-10,

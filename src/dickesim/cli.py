@@ -29,7 +29,7 @@ from .dicke import (
     w_state,
 )
 from .gates import format_circuit
-from .noise import FidelityMode, fidelity_sweep
+from .noise import FidelityMode, _check_angle, fidelity_sweep
 from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_stats
 
 
@@ -228,8 +228,12 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--steps must be between 2 and {MAX_STEPS}")
     if args.theta_min > args.theta_max:
         parser.error("--theta-min must not exceed --theta-max")
-    grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     try:
+        # Checked before np.linspace, whose step overflows or turns NaN
+        # between endpoints that are infinite or far apart.
+        for theta in (args.theta_min, args.theta_max):
+            _check_angle(theta)
+        grid = np.linspace(args.theta_min, args.theta_max, args.steps)
         rows = fidelity_sweep(grid, mode=FidelityMode(args.mode))
     except ValueError as exc:
         parser.error(str(exc))

@@ -259,7 +259,7 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
     overrides it.
     """
     labels = list(qubit_labels) if qubit_labels is not None else None
-    raw_gates: list[tuple[str, str, dict[str, str]]] = []
+    raw_gates: list[tuple[int, str, str, dict[str, str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -277,8 +277,11 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
             if "=" not in part:
                 raise ValueError(f"line {lineno}: expected key=value, got {part!r}")
             key, value = part.split("=", 1)
+            if key in fields or key not in ("c", "t", "theta"):
+                problem = "repeated" if key in fields else "unknown"
+                raise ValueError(f"line {lineno}: {problem} key {key!r}")
             fields[key] = value
-        raw_gates.append((parts[0], parts[1], fields))
+        raw_gates.append((lineno, parts[0], parts[1], fields))
     if labels is None:
         raise ValueError("no '# qubits:' header and no qubit labels supplied")
 
@@ -290,28 +293,31 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
         return index[lab]
 
     gates = []
-    for label, token, fields in raw_gates:
-        base = token
-        n_controls = 0
-        while base not in _BASE_NAMES and base.startswith("C"):
-            base = base[1:]
-            n_controls += 1
-        if base not in _BASE_NAMES:
-            raise ValueError(f"unknown gate token {token!r}")
-        ctl_field = fields.get("c", "-")
-        controls = tuple(to_index(c) for c in ctl_field.split(",")) if ctl_field != "-" else ()
-        if len(controls) != n_controls:
-            raise ValueError(f"gate {token!r} expects {n_controls} controls, got {len(controls)}")
-        if "t" not in fields:
-            raise ValueError(f"gate line for {token!r} is missing t=")
-        theta = float(fields["theta"]) if "theta" in fields else None
-        gates.append(
-            make_gate(
-                _BASE_NAMES[base],
-                controls,
-                to_index(fields["t"]),
-                theta=theta,
-                label="" if label == "-" else label,
+    for lineno, label, token, fields in raw_gates:
+        try:
+            base = token
+            n_controls = 0
+            while base not in _BASE_NAMES and base.startswith("C"):
+                base = base[1:]
+                n_controls += 1
+            if base not in _BASE_NAMES:
+                raise ValueError(f"unknown gate token {token!r}")
+            ctl_field = fields.get("c", "-")
+            controls = tuple(to_index(c) for c in ctl_field.split(",")) if ctl_field != "-" else ()
+            if len(controls) != n_controls:
+                raise ValueError(f"gate {token!r} expects {n_controls} controls, got {len(controls)}")
+            if "t" not in fields:
+                raise ValueError(f"gate line for {token!r} is missing t=")
+            theta = float(fields["theta"]) if "theta" in fields else None
+            gates.append(
+                make_gate(
+                    _BASE_NAMES[base],
+                    controls,
+                    to_index(fields["t"]),
+                    theta=theta,
+                    label="" if label == "-" else label,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return CircuitProgram(len(labels), tuple(gates), tuple(labels))

@@ -28,12 +28,11 @@ from . import gates
 from .dicke import dicke_state
 from .gates import CircuitProgram
 from .sim import (
-    MeasurementRecord,
     StateVector,
     apply_circuit,
     drop_qubit,
-    measure_qubit,
     new_basis_state,
+    postselect,
     purity,
     reduced_density_matrix,
     tensor,
@@ -158,9 +157,10 @@ def verify_untouched(circuit: CircuitProgram, label: str) -> bool:
 
 @dataclass(frozen=True)
 class ExpansionOutcome:
-    """Result of one flag-measured expansion run.
+    """Result of one flag-post-selected expansion run.
 
-    On success (flag outcome 0) ``success_state`` holds the 5-qubit register
+    ``probability`` is the Born probability of the selected flag outcome. On
+    success (flag outcome 0) ``success_state`` holds the 5-qubit register
     (d1, d2, d3, d4, a1). On failure ``remnant_state`` holds the recyclable
     3-qubit state on (d1, d2, d3) and ``separated_state`` the pure factor on
     (d4, a1); the purity fields witness that the factors really separate
@@ -168,7 +168,7 @@ class ExpansionOutcome:
     """
 
     success: bool
-    flag_record: MeasurementRecord
+    probability: float
     success_state: StateVector | None = None
     remnant_state: StateVector | None = None
     separated_state: StateVector | None = None
@@ -195,23 +195,23 @@ def expansion_premeasurement(state: StateVector) -> StateVector:
     return apply_circuit(full, build_d4_to_d5_circuit())
 
 
-def run_expansion(state: StateVector, rng_uniform: float) -> ExpansionOutcome:
-    """Run the restricted-access expansion on a 4-qubit input and measure the flag.
+def run_expansion(state: StateVector, outcome: int) -> ExpansionOutcome:
+    """Run the restricted-access expansion on a 4-qubit input and post-select
+    the flag on ``outcome``: 0 is the success branch, 1 the failure branch.
 
-    ``rng_uniform`` drives the Born-rule flag measurement; 0.0 forces the
-    success branch and any value above P(flag=0) forces the failure branch.
+    Raises ``ValueError`` if that branch is impossible for this input.
     """
     pre = expansion_premeasurement(state)
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-    record, collapsed = measure_qubit(pre, flag, rng_uniform)
-    five = drop_qubit(collapsed, flag, record.outcome)
-    if record.outcome == 0:
-        return ExpansionOutcome(success=True, flag_record=record, success_state=five)
+    probability, collapsed = postselect(pre, flag, outcome)
+    five = drop_qubit(collapsed, flag, outcome)
+    if outcome == 0:
+        return ExpansionOutcome(success=True, probability=probability, success_state=five)
     remnant, remnant_purity = _pure_factor(five, (0, 1, 2))
     separated, separated_purity = _pure_factor(five, (3, 4))
     return ExpansionOutcome(
         success=False,
-        flag_record=record,
+        probability=probability,
         remnant_state=remnant,
         separated_state=separated,
         remnant_purity=remnant_purity,

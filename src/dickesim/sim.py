@@ -16,8 +16,8 @@ import numpy as np
 from .gates import X_MATRIX, CircuitProgram, GateSpec
 
 NORM_ATOL = 1e-12
-# Branch probabilities below this are treated as impossible: never selected by
-# sampling, and rejected by post-selection (avoids renormalizing by ~0).
+# Post-selection rejects a branch whose probability is below this, rather
+# than renormalize by ~0.
 IMPOSSIBLE_BRANCH = 1e-15
 # The full-matrix oracle materializes 4^n complex entries.
 UNITARY_ORACLE_MAX_QUBITS = 12
@@ -98,16 +98,6 @@ def _check_norms(norms: np.ndarray) -> None:
     worst = float(norms.flat[np.argmax(np.abs(norms - 1.0))])
     if not abs(worst - 1.0) <= NORM_ATOL:
         raise ValueError(f"state is not normalized: |psi| = {worst!r}")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One computational-basis measurement: which qubit, what came out, and
-    the pre-collapse Born probability of that outcome."""
-
-    qubit: int
-    outcome: int
-    probability: float
 
 
 def basis_index(bits: str) -> int:
@@ -252,35 +242,10 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
         raise ValueError(
             f"outcome {outcome} on qubit {qubit} has probability {prob!r}"
         )
-    return prob, _collapse(state, psi, branch, prob)
-
-
-def _collapse(state: StateVector, psi: np.ndarray, branch: tuple, prob: float) -> StateVector:
-    """``state`` projected onto ``branch`` of its view ``psi`` and divided by
-    the square root of the branch's probability ``prob``."""
     amps = np.zeros(psi.size, dtype=complex)
     np.divide(psi[branch], math.sqrt(prob), out=amps.reshape(psi.shape)[branch])
     amps.flags.writeable = False
-    return StateVector(state.n_qubits, amps)
-
-
-def measure_qubit(
-    state: StateVector, qubit: int, uniform_random: float
-) -> tuple[MeasurementRecord, StateVector]:
-    """Born-rule measurement with collapse.
-
-    The outcome is 0 iff ``uniform_random < P(qubit = 0)``, except that a
-    branch with probability below the impossible threshold is never selected.
-    """
-    if not 0.0 <= uniform_random < 1.0:
-        raise ValueError(f"uniform_random must lie in [0, 1), got {uniform_random!r}")
-    psi, branch0 = _branch(state, qubit, 0)
-    p0 = float(np.sum(np.abs(psi[branch0]) ** 2))
-    if p0 >= IMPOSSIBLE_BRANCH and (uniform_random < p0 or 1.0 - p0 < IMPOSSIBLE_BRANCH):
-        # The outcome-0 branch is already summed; collapse onto it directly.
-        return MeasurementRecord(qubit, 0, p0), _collapse(state, psi, branch0, p0)
-    _, collapsed = postselect(state, qubit, 1)
-    return MeasurementRecord(qubit, 1, 1.0 - p0), collapsed
+    return prob, StateVector(state.n_qubits, amps)
 
 
 def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:

@@ -58,14 +58,14 @@ def test_criterion_1_exact_success_probability():
 
 def test_criterion_2_target_state_fidelity():
     """Post-selected success branch reproduces the 5-qubit Dicke state."""
-    outcome = run_expansion(dicke_state(4, 2), 0.0)
+    outcome = run_expansion(dicke_state(4, 2), 0)
     assert fidelity_pure(outcome.success_state, dicke_state(5, 3)) >= 1 - 1e-10
     report("2 success-branch fidelity to the 5-qubit Dicke state")
 
 
 def test_criterion_3_recyclable_branch():
     """Failure branch: W-like remnant on (d1,d2,d3), pure (d4,a1) factor."""
-    outcome = run_expansion(dicke_state(4, 2), 0.999)
+    outcome = run_expansion(dicke_state(4, 2), 1)
     assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
     assert abs(outcome.separated_purity - 1.0) <= 1e-10
     report("3 recyclable failure branch")

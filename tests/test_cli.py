@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import time
+import warnings
 
 import pytest
 
@@ -272,6 +273,23 @@ def test_sweep_rejects_nan_angles(capsys):
     assert run_cli(["sweep", "--theta-min", "nan"]) == 2
     assert run_cli(["sweep", "--theta-max", "nan"]) == 2
     assert "over-rotation angle must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--theta-max", "inf"], "over-rotation angle must be finite"),
+        (["--theta-min=-1e308", "--theta-max=1e308"], "outside [-pi, pi]"),
+    ],
+    ids=["infinite", "step-overflows"],
+)
+def test_sweep_checks_endpoints_before_building_the_grid(capsys, bounds, message):
+    # np.linspace warns on an infinite endpoint and overflows its step
+    # between finite endpoints this far apart; neither may reach it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["sweep", *bounds]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_modes_differ(tmp_path):

@@ -155,8 +155,14 @@ def test_parse_errors():
         parse_circuit("# qubits: a,b\n- SWAP c=- t=a\n")
     with pytest.raises(ValueError, match="controls"):
         parse_circuit("# qubits: a,b\n- CCNOT c=a t=b\n")
-    with pytest.raises(ValueError, match="unknown qubit label"):
+    with pytest.raises(ValueError, match="line 2: unknown qubit label"):
         parse_circuit("# qubits: a,b\n- CNOT c=z t=b\n")
+    with pytest.raises(ValueError, match="line 2: repeated key 't'"):
+        parse_circuit("# qubits: a,b\n- X c=- t=a t=b\n")
+    with pytest.raises(ValueError, match="line 2: unknown key 'zz'"):
+        parse_circuit("# qubits: a,b\n- X c=- t=a zz=1\n")
+    with pytest.raises(ValueError, match="line 3: could not convert string to float: 'abc'"):
+        parse_circuit("# qubits: a,b\n- X c=- t=a\n- RY c=- t=b theta=abc\n")
 
 
 def writable_qubit_label(label):

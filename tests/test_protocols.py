@@ -1,4 +1,4 @@
-"""Circuit builders, the flag-measured expansion, recycling, and shot statistics."""
+"""Circuit builders, the flag-post-selected expansion, recycling, and shot statistics."""
 import math
 
 import numpy as np
@@ -171,7 +171,7 @@ def test_circuit_matrix_commutes_with_flip_on_untouched_qubit():
 
 
 # ---------------------------------------------------------------------------
-# flag-measured expansion
+# flag-post-selected expansion
 
 
 def test_flag_probability_is_exactly_five_sixths():
@@ -183,19 +183,17 @@ def test_flag_probability_is_exactly_five_sixths():
 
 
 def test_expansion_success_branch():
-    outcome = run_expansion(dicke_state(4, 2), 0.0)
+    outcome = run_expansion(dicke_state(4, 2), 0)
     assert outcome.success
-    assert outcome.flag_record.outcome == 0
-    assert outcome.flag_record.probability == pytest.approx(5 / 6, abs=1e-12)
+    assert outcome.probability == pytest.approx(5 / 6, abs=1e-12)
     assert outcome.success_state.n_qubits == 5
     assert fidelity_pure(outcome.success_state, dicke_state(5, 3)) >= 1 - 1e-10
 
 
 def test_expansion_failure_branch():
-    outcome = run_expansion(dicke_state(4, 2), 0.99)
+    outcome = run_expansion(dicke_state(4, 2), 1)
     assert not outcome.success
-    assert outcome.flag_record.outcome == 1
-    assert outcome.flag_record.probability == pytest.approx(1 / 6, abs=1e-12)
+    assert outcome.probability == pytest.approx(1 / 6, abs=1e-12)
     assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
     assert outcome.remnant_purity == pytest.approx(1.0, abs=1e-10)
     assert outcome.separated_purity == pytest.approx(1.0, abs=1e-10)
@@ -205,11 +203,19 @@ def test_expansion_failure_branch():
 
 def test_expansion_rejects_wrong_register_size():
     with pytest.raises(ValueError):
-        run_expansion(dicke_state(3, 1), 0.0)
+        run_expansion(dicke_state(3, 1), 0)
+
+
+def test_expansion_rejects_an_impossible_or_invalid_flag_outcome():
+    # |1100> never raises the flag, so its failure branch has probability 0
+    with pytest.raises(ValueError, match="has probability"):
+        run_expansion(new_basis_state(4, "1100"), 1)
+    with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+        run_expansion(dicke_state(4, 2), 2)
 
 
 def test_success_state_is_permutation_symmetric():
-    outcome = run_expansion(dicke_state(4, 2), 0.0)
+    outcome = run_expansion(dicke_state(4, 2), 0)
     amps = outcome.success_state.amplitudes
     rng = np.random.default_rng(43)
     for _ in range(5):

@@ -1,4 +1,4 @@
-"""Statevector engine: gate application, measurement, fidelity, reductions."""
+"""Statevector engine: gate application, branch selection, fidelity, reductions."""
 import math
 
 import numpy as np
@@ -15,7 +15,6 @@ from dickesim import (
     drop_qubit,
     fidelity_pure,
     gate_unitary,
-    measure_qubit,
     new_basis_state,
     postselect,
     purity,
@@ -134,7 +133,6 @@ def test_operations_return_read_only_amplitudes_of_their_own():
         (apply_gate(a, gates.x(1)), (a,)),
         (apply_circuit(a, circuit), (a,)),
         (postselect(a, 1, 0)[1], (a,)),
-        (measure_qubit(a, 2, 0.5)[1], (a,)),
     ]
     # qubit 0's branch is a contiguous view of the input; the others are not
     results += [(drop_qubit(factor, q, int(bit)), (factor,)) for q, bit in enumerate("010")]
@@ -345,71 +343,23 @@ def test_control_locality_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# measurement
-
-
-def test_measure_deterministic_zero():
-    record, collapsed = measure_qubit(new_basis_state(1, "0"), 0, 0.9999)
-    assert record.outcome == 0
-    assert record.probability == 1.0
-    assert collapsed.amplitudes[0] == 1
-
-
-def test_measure_plus_state_selects_zero_branch():
-    plus = apply_gate(new_basis_state(1, "0"), gates.h(0))
-    record, collapsed = measure_qubit(plus, 0, 0.3)
-    assert record.outcome == 0
-    assert record.probability == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(collapsed.amplitudes, [1, 0], atol=1e-12)
-
-
-def test_measure_plus_state_selects_one_branch():
-    plus = apply_gate(new_basis_state(1, "0"), gates.h(0))
-    record, collapsed = measure_qubit(plus, 0, 0.7)
-    assert record.outcome == 1
-    np.testing.assert_allclose(collapsed.amplitudes, [0, 1], atol=1e-12)
-
-
-def test_measure_invalid_uniform():
-    with pytest.raises(ValueError):
-        measure_qubit(new_basis_state(1, "0"), 0, 1.0)
-
-
-def test_measure_invalid_qubit():
-    with pytest.raises(ValueError):
-        measure_qubit(new_basis_state(1, "0"), 1, 0.5)
-
-
-def test_measurement_statistics_match_born_rule():
-    rng = np.random.default_rng(2024)
-    state = random_state(rng, 2)
-    bit = 1 << 1  # qubit 0 of 2 is the most significant bit
-    p0 = float(np.sum(np.abs(state.amplitudes[np.arange(4) & bit == 0]) ** 2))
-    shots = 100_000
-    hits = sum(
-        measure_qubit(state, 0, float(u))[0].outcome == 0 for u in rng.random(shots)
-    )
-    bound = 4 * math.sqrt(p0 * (1 - p0) / shots)
-    assert abs(hits / shots - p0) <= bound
-
-
-def test_measure_collapses_like_postselect_byte_for_byte():
-    rng = np.random.default_rng(606)
-    for n in range(1, 11):
-        state = random_state(rng, n)
-        qubit = int(rng.integers(n))
-        p0, _ = postselect(state, qubit, 0)
-        # Uniforms just below and at P(qubit = 0) select outcome 0, then 1.
-        for uniform, outcome in ((np.nextafter(p0, 0.0), 0), (p0, 1)):
-            record, collapsed = measure_qubit(state, qubit, uniform)
-            assert record.outcome == outcome
-            expected = postselect(state, qubit, outcome)[1].amplitudes
-            assert collapsed.amplitudes.tobytes() == expected.tobytes()
+# branch selection
 
 
 def test_postselect_impossible_branch():
     with pytest.raises(ValueError, match="probability"):
         postselect(new_basis_state(1, "0"), 0, 1)
+
+
+@pytest.mark.parametrize("select", [postselect, drop_qubit])
+def test_branch_selection_rejects_bad_qubit_or_outcome(select):
+    state = new_basis_state(2, "00")
+    for qubit in (-1, 2):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range for 2 qubits"):
+            select(state, qubit, 0)
+    for outcome in (-1, 2):
+        with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {outcome}"):
+            select(state, 0, outcome)
 
 
 def test_drop_qubit_requires_pure_factor():
