@@ -256,9 +256,11 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
     """Parse the text format produced by :func:`format_circuit`.
 
     The register is taken from the ``# qubits:`` header unless ``qubit_labels``
-    overrides it.
+    overrides it. A second header is an error, and so is a register that
+    :class:`CircuitProgram` rejects; errors from the header name its line.
     """
-    labels = list(qubit_labels) if qubit_labels is not None else None
+    header: list[str] | None = None
+    header_lineno = 0
     raw_gates: list[tuple[int, str, str, dict[str, str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -266,8 +268,13 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("qubits:") and labels is None:
-                labels = [s.strip() for s in body.split(":", 1)[1].split(",") if s.strip()]
+            if body.startswith("qubits:"):
+                if header is not None:
+                    raise ValueError(
+                        f"line {lineno}: repeated '# qubits:' header, first on line {header_lineno}"
+                    )
+                header = [s.strip() for s in body.split(":", 1)[1].split(",") if s.strip()]
+                header_lineno = lineno
             continue
         parts = line.split()
         if len(parts) < 3:
@@ -282,6 +289,7 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
                 raise ValueError(f"line {lineno}: {problem} key {key!r}")
             fields[key] = value
         raw_gates.append((lineno, parts[0], parts[1], fields))
+    labels = list(qubit_labels) if qubit_labels is not None else header
     if labels is None:
         raise ValueError("no '# qubits:' header and no qubit labels supplied")
 
@@ -320,4 +328,9 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
             )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return CircuitProgram(len(labels), tuple(gates), tuple(labels))
+    try:
+        return CircuitProgram(len(labels), tuple(gates), tuple(labels))
+    except ValueError as exc:
+        if qubit_labels is not None:
+            raise
+        raise ValueError(f"line {header_lineno}: {exc}") from None

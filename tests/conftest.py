@@ -1,7 +1,25 @@
-"""Shared helpers for randomized tests (all seeded, no global RNG state)."""
+"""Shared helpers for randomized tests (all seeded, no global RNG state),
+and a fixture that counts kernel work."""
 import numpy as np
+import pytest
 
 from dickesim import GateSpec, CircuitProgram, StateVector, make_gate
+from dickesim import noise, sim
+
+
+@pytest.fixture
+def evolved_states(monkeypatch):
+    """A list that gets the number of states of every kernel call."""
+    evolved = []
+    kernel = sim._evolve
+
+    def counting(psi, n_qubits, *args):
+        evolved.append(psi.size >> n_qubits)
+        kernel(psi, n_qubits, *args)
+
+    monkeypatch.setattr(sim, "_evolve", counting)
+    monkeypatch.setattr(noise, "_evolve", counting)
+    return evolved
 
 
 def random_unitary_2x2(rng):

@@ -1,5 +1,6 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
 import argparse
+import errno
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import warnings
 
 import pytest
 
-from dickesim import gates
+from dickesim import cli, gates
 from dickesim.cli import main
 
 
@@ -371,6 +372,22 @@ def test_out_directory_is_refused_before_anything_is_written(tmp_path, argv, cap
     assert f"Is a directory: {str(target)!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
     assert not any(target.iterdir())
+
+
+@pytest.mark.parametrize("allocation", ["allocated", "refused"])
+def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, allocation, monkeypatch):
+    # The blocks reserved before writing match the encoded text, multi-byte
+    # characters included, and a refused reservation still writes the file.
+    if allocation == "refused":
+        def refuse(fd, offset, length):
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+    out = tmp_path / "out.txt"
+    for text in ("x" * 10_000 + "\n", "p ≈ 5/6\n"):
+        cli._write(argparse.Namespace(out=str(out)), text)
+        assert out.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate records, rotation matrices, and the circuit text format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,33 @@ def test_parse_errors():
         parse_circuit("# qubits: a,b\n- X c=- t=a zz=1\n")
     with pytest.raises(ValueError, match="line 3: could not convert string to float: 'abc'"):
         parse_circuit("# qubits: a,b\n- X c=- t=a\n- RY c=- t=b theta=abc\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "# qubits: a,b\n# qubits: c,d\n- X c=- t=a\n",
+            "line 2: repeated '# qubits:' header, first on line 1",
+        ),
+        ("# qubits: a,a\n- X c=- t=a\n", "line 1: qubit labels must be distinct"),
+        ("# note\n\n# qubits: a,a\n", "line 3: qubit labels must be distinct"),
+        ("# qubits:\n", "line 1: circuit needs at least one qubit"),
+    ],
+    ids=["repeated", "duplicate-labels", "after-comments", "empty"],
+)
+def test_parse_header_errors_name_the_header_line(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_circuit(text)
+
+
+def test_explicit_labels_override_the_header():
+    parsed = parse_circuit("# qubits: a,a\n- X c=- t=c\n", qubit_labels=("c", "d"))
+    assert parsed.qubit_labels == ("c", "d")
+    assert parsed.gates[0].target == 0
+    # the explicit labels come from no line, so their errors name none
+    with pytest.raises(ValueError, match="^qubit labels must be distinct$"):
+        parse_circuit("# qubits: a,b\n", qubit_labels=("c", "c"))
 
 
 def writable_qubit_label(label):

@@ -180,13 +180,23 @@ def test_batched_sweep_matches_per_angle_runs(mode):
         )
 
 
+@pytest.fixture
+def fresh_fit():
+    """An empty fit memo before the test and after it, so a fit made under
+    the test's patches is never seen by a later test."""
+    noise._expansion_fit.cache_clear()
+    yield
+    noise._expansion_fit.cache_clear()
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 32, 1000])
-def test_sweep_does_not_depend_on_chunk_size(monkeypatch, chunk):
+def test_sweep_does_not_depend_on_chunk_size(monkeypatch, fresh_fit, chunk):
     # chunks are not bit-identical to each other (a chunk's shape may change
     # how its arithmetic is blocked), but the rows agree and so does the CSV
     grid = np.linspace(-0.1, 0.1, 101)
     expected = {mode: fidelity_sweep(grid, mode=mode) for mode in FidelityMode}
     monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+    noise._expansion_fit.cache_clear()  # refit at this chunk size
     for mode in FidelityMode:
         rows = fidelity_sweep(grid, mode=mode)
         assert [row.theta for row in rows] == [row.theta for row in expected[mode]]
@@ -241,26 +251,43 @@ def test_sweep_at_max_steps_matches_per_angle_runs():
         )
 
 
-def test_kernel_runs_2d_plus_1_states_per_call_whatever_the_grid(monkeypatch):
+def test_kernel_runs_2d_plus_1_states_once_per_process_whatever_the_grid(
+    evolved_states, fresh_fit
+):
     # in total: the ideal output is node theta_0 = 0, not a run of its own
-    evolved = []
-    kernel = sim._evolve
-
-    def counting(psi, n_qubits, *args):
-        evolved.append(psi.size >> n_qubits)
-        kernel(psi, n_qubits, *args)
-
-    monkeypatch.setattr(sim, "_evolve", counting)
-    monkeypatch.setattr(noise, "_evolve", counting)
     degree = sum(1 for gate in build_d4_to_d5_circuit().gates if gate.controls)
-    for steps in (1, 226, 100_000):
-        for mode in FidelityMode:
-            evolved.clear()
+    calls = [(steps, mode) for steps in (1, 226, 100_000) for mode in FidelityMode]
+    for first_steps, first_mode in calls:
+        noise._expansion_fit.cache_clear()
+        evolved_states.clear()
+        fidelity_sweep(np.linspace(-0.1, 0.1, first_steps), mode=first_mode)
+        assert sum(evolved_states) == 2 * degree + 1 == 33
+        for steps, mode in calls:
+            evolved_states.clear()
             fidelity_sweep(np.linspace(-0.1, 0.1, steps), mode=mode)
-            assert sum(evolved) == 2 * degree + 1 == 33
+            assert sum(evolved_states) == 0
 
 
-def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypatch):
+def test_bad_angle_is_rejected_before_the_fit(fresh_fit):
+    with pytest.raises(ValueError, match="over-rotation angle"):
+        fidelity_sweep([0.0, math.nan])
+    assert noise._expansion_fit.cache_info().currsize == 0
+
+
+def test_fit_arrays_are_read_only():
+    for array in noise._expansion_fit():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("mode", list(FidelityMode))
+def test_warm_sweep_equals_cold_sweep(fresh_fit, mode):
+    grid = np.linspace(-math.pi, math.pi, 226)
+    cold = fidelity_sweep(grid, mode=mode)
+    assert fidelity_sweep(grid, mode=mode) == cold
+
+
+def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypatch, fresh_fit):
     spectral = noise._fourier_coefficients
 
     def scaled_by(factor):
@@ -271,6 +298,7 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
         return coefficients
 
     for factor, shown in [(1 + 1e-9, "1.000000001"), (math.nan, "nan")]:
+        noise._expansion_fit.cache_clear()
         monkeypatch.setattr(noise, "_fourier_coefficients", scaled_by(factor))
         for mode in FidelityMode:
             with pytest.raises(ValueError, match=f"state is not normalized: [|]psi[|] = {shown}"):
@@ -282,6 +310,7 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
         constant[0, 1] = 1.0  # |000001>, the flag (last qubit) is 1 at every angle
         return m, constant, ideal
 
+    noise._expansion_fit.cache_clear()
     monkeypatch.setattr(noise, "_fourier_coefficients", flag_one_only)
     assert fidelity_sweep([0.05], mode=FidelityMode.PRE_MEASUREMENT)[0].fidelity == 0.0
     with pytest.raises(ValueError, match="outcome 0 on qubit 5 has probability 0.0"):

@@ -309,6 +309,30 @@ def test_stats_seed_changes_outcomes():
     assert a.counts != b.counts
 
 
+def test_stats_evolve_the_circuit_once_per_process(evolved_states):
+    protocols._nominal_distribution.cache_clear()
+    run_protocol_stats(10**4, seed=5)
+    assert sum(evolved_states) == 1
+    evolved_states.clear()
+    for shots in (1, 10**4, 10**9):
+        run_protocol_stats(shots, seed=6)
+    assert sum(evolved_states) == 0
+
+
+def test_stats_distribution_is_read_only():
+    pre, probs = protocols._nominal_distribution()
+    for array in (pre.amplitudes, probs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("shots", [1, 4000, 10**9])
+def test_warm_stats_equal_cold_stats(shots):
+    protocols._nominal_distribution.cache_clear()
+    cold = run_protocol_stats(shots, seed=31)
+    assert run_protocol_stats(shots, seed=31) == cold
+
+
 def _support_probabilities():
     """Born probabilities of the 64 outcome strings, and the mask of the
     13 that can occur."""
