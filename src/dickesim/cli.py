@@ -38,7 +38,7 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # sampling is one multinomial draw, the same cost at any count
 MAX_STEPS = 100_000  # about 0.5-1 s end to end on 2 cores, mostly import and CSV output
-MAX_QUBITS = 5_000  # --total + --added; worst case about 1.4 s (decompose, M = k = N/2)
+MAX_QUBITS = 5_000  # --total + --added; worst case about 1.2 s (decompose --added 1, M = k = N/2)
 
 
 def _fmt(x: float) -> str:

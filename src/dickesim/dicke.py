@@ -143,55 +143,71 @@ class DickeDecomposition:
     """Expansion of a Dicke state over an A/B bipartition.
 
     ``terms`` run over the excitation transfer index j (excitations on B) in
-    increasing order; the squared coefficients are exact rationals and sum to
-    1 exactly.
+    increasing order; the squared coefficients are exact rationals, and for
+    the decompositions built here they sum to 1 exactly.
     """
 
     a_size: int
     b_size: int
     terms: tuple[DecompositionTerm, ...]
 
-    def __post_init__(self) -> None:
-        if sum(t.weight for t in self.terms) != 1:
-            raise ValueError("decomposition weights do not sum to 1")
 
+def _numerators(a_size: int, b_size: int, m: int) -> tuple[int, list[int], int]:
+    """Weights of D(a_size + b_size, m) = sum_j c_j |D_A^{m-j}> |D_B^{j}> over
+    one denominator: c_j^2 = C(a_size, m-j) * C(b_size, j) / C(a_size + b_size, m)
+    for every j in [max(m - a_size, 0), min(b_size, m)].
 
-def _decomposition(a_size: int, b_size: int, m: int) -> DickeDecomposition:
-    """D(a_size + b_size, m) = sum_j c_j |D_A^{m-j}> |D_B^{j}> with
-    c_j^2 = C(a_size, m-j) * C(b_size, j) / C(a_size + b_size, m), for every
-    j in [max(m - a_size, 0), min(b_size, m)].
-
-    The binomials step from one j to the next by the exact integer
-    recurrences C(a, k - 1) = C(a, k) * k / (a - k + 1) and
-    C(b, j + 1) = C(b, j) * (b - j) / (j + 1); each division is exact."""
+    Returns the first j, the integer numerators by increasing j, and the
+    denominator. The binomials step from one j to the next by the exact
+    integer recurrences C(a, k - 1) = C(a, k) * k / (a - k + 1) and
+    C(b, j + 1) = C(b, j) * (b - j) / (j + 1); each division is exact. The
+    numerators must sum to the denominator (Vandermonde's identity), checked
+    in integers."""
     denominator = math.comb(a_size + b_size, m)
     first = max(m - a_size, 0)
     from_a, from_b = math.comb(a_size, m - first), math.comb(b_size, first)
-    terms = []
+    numerators = []
     for j in range(first, min(b_size, m) + 1):
         if j > first:
             k = m - j + 1  # excitations on A at the previous term
             from_a = from_a * k // (a_size - k + 1)
             from_b = from_b * (b_size - j + 1) // j
-        weight = Fraction(from_a * from_b, denominator)
+        numerators.append(from_a * from_b)
+    if sum(numerators) != denominator:
+        raise ValueError("decomposition weights do not sum to 1")
+    return first, numerators, denominator
+
+
+def _decomposition(a_size: int, b_size: int, m: int) -> DickeDecomposition:
+    """The terms of :func:`_numerators`, each weight a reduced fraction."""
+    first, numerators, denominator = _numerators(a_size, b_size, m)
+    terms = []
+    for j, numerator in enumerate(numerators, first):
+        weight = Fraction(numerator, denominator)
         terms.append(DecompositionTerm(j, m - j, math.sqrt(weight), weight))
     return DickeDecomposition(a_size, b_size, tuple(terms))
+
+
+def _source_split(params: BipartitionParams) -> tuple[int, int, int]:
+    k = params.accessible
+    return k, params.total - k, params.excitations
+
+
+def _target_split(params: BipartitionParams) -> tuple[int, int, int]:
+    k = params.accessible
+    return k + params.added, params.total - k, params.excitations + params.added_excitations
 
 
 def decompose_source(params: BipartitionParams) -> DickeDecomposition:
     """Split the initial Dicke state D(N, M) over its k accessible qubits (A)
     and the N-k others (B): c_j^2 = C(k, M-j) * C(N-k, j) / C(N, M)."""
-    k = params.accessible
-    return _decomposition(k, params.total - k, params.excitations)
+    return _decomposition(*_source_split(params))
 
 
 def decompose_target(params: BipartitionParams) -> DickeDecomposition:
     """Split the expanded Dicke state D(N+n', M+m'). A gains the n' added
     qubits; B is unchanged: c_j^2 = C(k+n', M+m'-j) * C(N-k, j) / C(N+n', M+m')."""
-    k = params.accessible
-    return _decomposition(
-        k + params.added, params.total - k, params.excitations + params.added_excitations
-    )
+    return _decomposition(*_target_split(params))
 
 
 def max_success_probability(params: BipartitionParams) -> Fraction:
@@ -200,10 +216,18 @@ def max_success_probability(params: BipartitionParams) -> Fraction:
     An operation on A alone cannot raise the weight of any component |D_B^{j}>,
     so p * w_tgt(j) <= w_src(j) for every j: p = min_j w_src(j) / w_tgt(j) over
     the target's terms, with w_src(j) = 0 where the source has no term j. The
-    result is an exact reduced fraction.
+    ratios are compared as integer cross products of the numerators, and the
+    result is one exact reduced fraction.
     """
-    source = {t.j: t.weight for t in decompose_source(params).terms}
-    return min(source.get(t.j, 0) / t.weight for t in decompose_target(params).terms)
+    source_first, source, source_denominator = _numerators(*_source_split(params))
+    target_first, target, target_denominator = _numerators(*_target_split(params))
+    best_source, best_target = 1, 0  # no term seen yet: an infinite ratio
+    for j, w_target in enumerate(target, target_first):
+        i = j - source_first
+        w_source = source[i] if 0 <= i < len(source) else 0
+        if w_source * best_target < best_source * w_target:
+            best_source, best_target = w_source, w_target
+    return Fraction(best_source * target_denominator, best_target * source_denominator)
 
 
 def verify_decomposition(

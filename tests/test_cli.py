@@ -341,6 +341,74 @@ def test_oracle_check_passes_at_any_chunk_size(monkeypatch, chunk):
     assert oracle.passed
 
 
+@pytest.fixture
+def fresh_references():
+    """Clear the memo of verify's references before and after the test."""
+    from dickesim import checks
+
+    checks._expansion_references.cache_clear()
+    yield checks
+    checks._expansion_references.cache_clear()
+
+
+def test_references_are_built_once_per_process(fresh_references, monkeypatch):
+    from dickesim import sim
+
+    built = {"circuit_unitary": 0, "gate_unitary": 0}
+
+    def counting(name):
+        original = getattr(sim, name)
+
+        def wrapper(*args):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sim, name, wrapper)
+
+    counting("circuit_unitary")
+    counting("gate_unitary")
+    fresh_references.run_all_checks()
+    # the circuit's 29 gate records, then the flip on d4
+    assert built == {"circuit_unitary": 1, "gate_unitary": 30}
+    for _ in range(2):
+        fresh_references.run_all_checks()
+        assert built == {"circuit_unitary": 1, "gate_unitary": 30}
+
+
+def test_references_are_read_only(fresh_references):
+    refs = fresh_references._expansion_references()
+    arrays = [refs.oracle, refs.d4_flip] + [flip.matrix for flip in refs.recycling_flips]
+    assert len(arrays) == 5
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_warm_checks_equal_cold_checks(fresh_references):
+    cold = fresh_references.run_all_checks()
+    assert fresh_references.run_all_checks() == cold
+
+
+def test_warm_oracle_still_catches_a_broken_kernel(monkeypatch, capsys):
+    from dickesim import checks
+
+    assert run_cli(["verify"]) == 0  # warm-up: the references are built
+    kernel = checks._evolve
+
+    def drop_last_gate(psi, n_qubits, circuit_gates, *args):
+        kernel(psi, n_qubits, circuit_gates[:-1], *args)
+
+    monkeypatch.setattr(checks, "_evolve", drop_last_gate)
+    oracle = {check.name: check for check in checks.run_all_checks()}["oracle_equivalence"]
+    assert not oracle.passed
+    capsys.readouterr()
+    assert run_cli(["verify"]) == 3
+    assert "FAILED checks: oracle_equivalence\n" in capsys.readouterr().err
+    monkeypatch.setattr(checks, "_evolve", kernel)
+    assert all(check.passed for check in checks.run_all_checks())
+    assert run_cli(["verify"]) == 0
+
+
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "1"]])
 def test_verify_rejects_format_and_seed(flag):
     assert run_cli(["verify", *flag]) == 2
@@ -415,8 +483,7 @@ def test_handler_usage_errors_name_their_subcommand(argv, message, capsys):
     [
         (["sample", "--shots", "100", "--seed", "1"], 0),
         (["sweep", "--steps", "5"], 0),
-        # run_all_checks builds its own X flips: three for recycling, one on d4.
-        (["verify"], 4),
+        (["verify"], 0),
     ],
     ids=["sample", "sweep", "verify"],
 )
