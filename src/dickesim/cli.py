@@ -10,11 +10,14 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 import numpy as np
@@ -37,33 +40,121 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # Upper limits on work requested from the command line; larger values exit 2
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # sampling is one multinomial draw, the same cost at any count
-MAX_STEPS = 100_000  # about 0.5-1 s end to end on 2 cores, mostly import and CSV output
+MAX_STEPS = 100_000  # end to end on 2 cores: about 0.6 s with CSV, 0.8 s with JSON
 MAX_QUBITS = 5_000  # --total + --added; worst case about 1.2 s (decompose --added 1, M = k = N/2)
 
 
+_FLOAT_SPEC = ".12g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return format(x, _FLOAT_SPEC)
+
+
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(v: Any) -> str:
+    """A table cell as ``json.dumps`` renders it, a float ``x`` as the float
+    ``float(_fmt(x))``."""
+    if isinstance(v, float):
+        s = _fmt(v)
+        if "e" in s or "n" in s:  # exponent form, inf or nan
+            return _JSON_CONSTANTS.get(s) or float.__repr__(float(s))
+        # Fixed form, magnitude in [1e-4, 1e12) or zero: a decimal of at most
+        # 15 significant digits is the shortest that round-trips its double,
+        # so float.__repr__ gives the same digits, with ".0" on an integer.
+        return s if "." in s else s + ".0"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"table cell of type {type(v).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
 class Table:
-    """Rows under named columns. Floats carry 12 significant digits in both
-    renderings: CSV text, and JSON records as ``json.dumps``'s ``default``."""
+    """Rows under named columns, every row one cell per column. Each format
+    renders all rows in one pass from a row template built once per table;
+    floats carry 12 significant digits in both."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
 
     def csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        """A header line, then one line per row: a float as ``_fmt`` writes
+        it, any other cell as ``str``."""
+        columns = [[r[i] for r in self.rows] for i in range(len(self.columns))]
+        fields = []
+        for i, column in enumerate(columns):
+            floats = [isinstance(v, float) for v in column]
+            if all(floats):
+                # The template formats a column of floats with _fmt's spec.
+                fields.append("%" + _FLOAT_SPEC)
+            else:
+                fields.append("%s")
+                if any(floats):
+                    columns[i] = [_fmt(v) if f else v for v, f in zip(column, floats)]
+        row = ",".join(fields) + "\n"
+        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+        return ",".join(self.columns) + "\n" + row * len(self.rows) % cells
 
-    def records(self) -> list[dict[str, Any]]:
-        return [
-            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(self.columns, row)}
-            for row in self.rows
-        ]
+    def json(self, indent: str, sort_keys: bool) -> str:
+        """The rows as the array of records, column to cell, that
+        ``json.dumps(..., indent=2, sort_keys=sort_keys)`` writes for a list
+        whose line starts with ``indent``."""
+        if not self.rows:
+            return "[]"
+        # Each key's last column, in the order a dict built from the row keeps.
+        last = {c: i for i, c in enumerate(self.columns)}
+        keys = sorted(last) if sort_keys else list(last)
+        fields = ",\n".join(
+            f"{indent}    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
+        )
+        row = f"{indent}  {{\n{fields}\n{indent}  }}" if keys else f"{indent}  {{}}"
+        order = [last[k] for k in keys]
+        cells = [_json_cell(r[i]) for r in self.rows for i in order]
+        return "[\n" + ",\n".join([row] * len(self.rows)) % tuple(cells) + f"\n{indent}]"
+
+
+# A table's place in the report skeleton: a string that json.dumps writes as
+# "\u0000<index>".
+_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
+def _render_json(report: Any, sort_keys: bool) -> str:
+    """``report`` as ``json.dumps(report, indent=2, sort_keys=sort_keys)``
+    writes it, each Table in it as its array of records, and a final newline.
+
+    The skeleton goes through json.dumps with a slot string in place of each
+    table; each table's text is spliced in at its slot's indentation. No
+    string of the report outside its tables may hold NUL (none does: command
+    lines cannot carry it).
+    """
+    tables: list[Table] = []
+
+    def stub(obj: Any) -> Any:
+        if isinstance(obj, Table):
+            tables.append(obj)
+            return f"\0{len(tables) - 1}"
+        if isinstance(obj, dict):
+            return {k: stub(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [stub(v) for v in obj]
+        return obj
+
+    pieces = _SLOT.split(json.dumps(stub(report), indent=2, sort_keys=sort_keys))
+    for i in range(1, len(pieces), 2):
+        line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        pieces[i] = tables[int(pieces[i])].json(indent, sort_keys)
+    return "".join(pieces) + "\n"
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -118,7 +209,7 @@ def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
             "outputs": outputs,
             "tool_version": __version__,
         }
-        text = json.dumps(report, indent=2, sort_keys=True, default=Table.records) + "\n"
+        text = _render_json(report, sort_keys=True)
     elif isinstance(text, Table):
         text = text.csv()
     _write(args, text)
@@ -260,7 +351,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         [(c.name, c.expected, c.actual, c.tolerance, c.comparison, c.passed) for c in checks],
     )
     summary = {"checks": table, "all_passed": not failed, "tool_version": __version__}
-    _write(args, json.dumps(summary, indent=2, default=Table.records) + "\n")
+    _write(args, _render_json(summary, sort_keys=False))
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
     return 3 if failed else 0

@@ -8,7 +8,10 @@ import stat
 import time
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim import cli, gates
 from dickesim.cli import main
@@ -301,6 +304,20 @@ def test_sweep_modes_differ(tmp_path):
     assert pre.read_text() != post.read_text()
 
 
+@pytest.mark.parametrize("mode", ["post-selected", "pre-measurement"])
+def test_sweep_csv_and_json_carry_the_same_rows(tmp_path, mode):
+    argv = ["sweep", "--theta-min", "-0.3", "--theta-max", "0.2", "--steps", "301",
+            "--mode", mode]
+    assert run_cli([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert run_cli([*argv, "--format", "json", "--out", str(tmp_path / "sweep.json")]) == 0
+    header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert header == "theta,fidelity"
+    from_csv = [tuple(float(cell) for cell in line.split(",")) for line in lines]
+    records = json.loads((tmp_path / "sweep.json").read_text())["outputs"]["rows"]
+    assert [(r["theta"], r["fidelity"]) for r in records] == from_csv
+    assert len(from_csv) == 301
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -456,6 +473,75 @@ def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, allocation,
         cli._write(argparse.Namespace(out=str(out)), text)
         assert out.read_text() == text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+def _reference_csv(table):
+    """Table.csv as it was when it rendered row by row."""
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_records(table):
+    """The records json.dumps once got from each Table through ``default``."""
+    return [
+        {c: float(f"{v:.12g}") if isinstance(v, float) else v for c, v in zip(table.columns, row)}
+        for row in table.rows
+    ]
+
+
+def _reference_json(report, sort_keys):
+    return json.dumps(report, indent=2, sort_keys=sort_keys, default=_reference_records) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-308, 2.2250738585072014e-308, 1e-4, 9.99999999999e-5,
+                1e12, 123456789012.0, 1.5e15, 1e16, 1e300, -1e300, 1.7976931348623157e308,
+                math.nan, math.inf, -math.inf]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# Quotes, backslashes, control characters, non-ASCII and template syntax.
+_text = st.text(st.one_of(st.sampled_from('"\\\0\x1f\n\t,%{}é€\U0001f600'), st.characters()),
+                max_size=8)
+_cells = st.one_of(
+    _floats, _floats.map(np.float64), st.integers(), st.booleans(), st.none(), _text
+)
+_tables = st.lists(st.one_of(st.sampled_from(["theta", "%s", "{0}"]), _text), max_size=4).flatmap(
+    lambda columns: st.lists(st.tuples(*[_cells] * len(columns)), max_size=5).map(
+        lambda rows: cli.Table(tuple(columns), rows)
+    )
+)
+# Strings of a report outside its tables hold no NUL, as command lines cannot.
+_skeleton_text = st.text(st.characters().filter(lambda c: c != "\0"), max_size=6)
+_reports = st.dictionaries(
+    _skeleton_text,
+    st.recursive(
+        st.one_of(_tables, st.integers(), st.floats(), st.none(), st.booleans(), _skeleton_text),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3), st.dictionaries(_skeleton_text, children, max_size=3)
+        ),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_reports, st.booleans())
+def test_reports_render_byte_for_byte_as_through_records(report, sort_keys):
+    assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tables)
+def test_a_table_renders_alone_and_nested(table):
+    assert table.csv() == _reference_csv(table)
+    for report in (table, {"rows": table}, [{"a": [table, 1]}, {"b": {"c": table}}]):
+        for sort_keys in (True, False):
+            assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
 
 
 # ---------------------------------------------------------------------------
