@@ -168,12 +168,13 @@ def run_all_checks() -> list[Check]:
 
     # Full-matrix oracle against the kernel, run on the basis columns in batches.
     n, dim = circuit.n_qubits, 1 << circuit.n_qubits
+    steps = sim._circuit_steps(circuit)
     worst = 0.0
     for start in range(0, dim, sim.BATCH_CHUNK):
         count = min(sim.BATCH_CHUNK, dim - start)
         columns = np.zeros((count, dim), dtype=complex)
         columns[np.arange(count), start + np.arange(count)] = 1.0
-        _evolve(columns.reshape((count,) + (2,) * n), n, circuit.gates)
+        _evolve(columns.reshape((count,) + (2,) * n), n, steps)
         expected = oracle[:, start:start + count].T
         worst = max(worst, float(np.max(np.abs(expected - columns))))
     eq("oracle_equivalence", 0.0, worst, 1e-12)

@@ -3,12 +3,21 @@
 Basis convention: a bitstring ``b0 b1 ... b_{n-1}`` (qubit 0 written leftmost)
 maps to amplitude index ``sum_i b_i * 2**(n-1-i)``, i.e. qubit 0 is the most
 significant bit. States are immutable; every operation returns a new value.
+
+One kernel, :func:`_evolve`, applies gates in place to a ``(2,) * n`` view
+of the amplitudes, with optional leading batch axes. A circuit runs as a
+list of kernel steps (:func:`_circuit_steps`): each run of two or more
+consecutive X-type gates is one cached permutation of the basis indices,
+applied as a single gather, and every other gate is applied on its own.
+The gather moves each amplitude bit for bit, as the gates' own slice swaps
+do, so the output is the same byte for byte as gate by gate.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Sequence
 
 import numpy as np
@@ -139,63 +148,122 @@ def _axis_index(n_qubits: int, fixed: Sequence[tuple[int, int]]) -> tuple:
 def _evolve(
     psi: np.ndarray,
     n_qubits: int,
-    gates: Sequence[GateSpec],
+    steps: Sequence[GateSpec | np.ndarray],
     matrices: Sequence[np.ndarray] | None = None,
 ) -> None:
-    """Apply ``gates`` in order, in place, to ``psi`` of shape
+    """Apply ``steps`` in order, in place, to ``psi`` of shape
     ``(batch..., 2, ..., 2)`` with one trailing axis per qubit.
 
-    Each gate rewrites the two slices where every control axis is 1 and the
-    target axis is 0 or 1, over all batch axes at once; all other amplitudes
-    are left bit-identical. ``matrices[i]``, if given, replaces
-    ``gates[i].matrix``: either one ``(2, 2)`` matrix for the whole batch or a
-    ``(T, 2, 2)`` stack with one matrix per index of the single batch axis.
-
-    A ``(2, 2)`` matrix equal to ``X_MATRIX`` byte for byte swaps the two
-    slices (one copy, two stores, no arithmetic); any other matrix computes
-    ``u00 * a0 + u01 * a1`` and ``u10 * a0 + u11 * a1``. When a slice, batch
-    included, holds more than ``BLOCK_AMPLITUDES`` amplitudes, the gate runs
-    block by block over the bit patterns of the leading free qubits (neither
-    control nor target), so each block's operands and temporaries stay in
-    the L2 cache instead of streaming through memory once per operation.
-    Blocking only splits the same elementwise expressions, so results do not
-    depend on the block size.
+    A step is a gate (:func:`_apply_gate_slices`) or the read-only index
+    table ``perm`` of a fused run of X-type gates (:func:`_circuit_steps`).
+    A table is applied as one gather over the flattened qubit axes, for every
+    batch row at once, and written back into ``psi``: the new amplitude at
+    index ``i`` is the old one at ``perm[i]``, moved bit for bit.
+    ``matrices[i]``, if given, replaces ``steps[i].matrix``: either one
+    ``(2, 2)`` matrix for the whole batch or a ``(T, 2, 2)`` stack with one
+    matrix per index of the single batch axis. Only gates take matrices.
     """
-    if matrices is None:
-        matrices = [gate.matrix for gate in gates]
-    for gate, u in zip(gates, matrices):
-        fixed = [(c, 1) for c in gate.controls]
-        blocks = [fixed]
-        size = psi.size >> len(fixed) + 1
-        if size > BLOCK_AMPLITUDES:
-            # Fix the fewest leading free qubits that bring a slice down to
-            # BLOCK_AMPLITUDES, or all of them if the batch alone is larger.
-            free = [q for q in range(n_qubits) if q not in gate.qubits]
-            split = free[: (-(-size // BLOCK_AMPLITUDES) - 1).bit_length()]
-            blocks = [
-                fixed + list(zip(split, bits)) for bits in product((0, 1), repeat=len(split))
-            ]
-        swap = u.ndim == 2 and u.tobytes() == _X_BYTES
-        if u.ndim == 3:
-            kept = psi.ndim - len(blocks[0]) - 2
-            u = u.reshape((len(u),) + (1,) * kept + (2, 2))
-        if not swap:
-            u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
-        for block in blocks:
-            zero = _axis_index(n_qubits, block + [(gate.target, 0)])
-            one = _axis_index(n_qubits, block + [(gate.target, 1)])
-            a0, a1 = psi[zero], psi[one]
-            if swap:
-                psi[zero], psi[one] = a1, a0.copy()
+    for i, step in enumerate(steps):
+        if isinstance(step, np.ndarray):
+            flat = psi.reshape(psi.shape[: psi.ndim - n_qubits] + (-1,))
+            psi[...] = np.take(flat, step, axis=-1).reshape(psi.shape)
+        else:
+            u = step.matrix if matrices is None else matrices[i]
+            _apply_gate_slices(psi, n_qubits, step, u)
+
+
+def _apply_gate_slices(psi: np.ndarray, n_qubits: int, gate: GateSpec, u: np.ndarray) -> None:
+    """Apply ``gate`` with target matrix ``u`` in place to ``psi`` as
+    :func:`_evolve` takes it.
+
+    The gate rewrites the two slices where every control axis is 1 and the
+    target axis is 0 or 1, over all batch axes at once; all other amplitudes
+    are left bit-identical. A ``(2, 2)`` matrix equal to ``X_MATRIX`` byte
+    for byte swaps the two slices (one copy, two stores, no arithmetic); any
+    other matrix computes ``u00 * a0 + u01 * a1`` and ``u10 * a0 + u11 * a1``.
+    When a slice, batch included, holds more than ``BLOCK_AMPLITUDES``
+    amplitudes, the gate runs block by block over the bit patterns of the
+    leading free qubits (neither control nor target), so each block's
+    operands and temporaries stay in the L2 cache instead of streaming
+    through memory once per operation. Blocking only splits the same
+    elementwise expressions, so results do not depend on the block size.
+    """
+    fixed = [(c, 1) for c in gate.controls]
+    blocks = [fixed]
+    size = psi.size >> len(fixed) + 1
+    if size > BLOCK_AMPLITUDES:
+        # Fix the fewest leading free qubits that bring a slice down to
+        # BLOCK_AMPLITUDES, or all of them if the batch alone is larger.
+        free = [q for q in range(n_qubits) if q not in gate.qubits]
+        split = free[: (-(-size // BLOCK_AMPLITUDES) - 1).bit_length()]
+        blocks = [
+            fixed + list(zip(split, bits)) for bits in product((0, 1), repeat=len(split))
+        ]
+    swap = u.ndim == 2 and u.tobytes() == _X_BYTES
+    if u.ndim == 3:
+        kept = psi.ndim - len(blocks[0]) - 2
+        u = u.reshape((len(u),) + (1,) * kept + (2, 2))
+    if not swap:
+        u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    for block in blocks:
+        zero = _axis_index(n_qubits, block + [(gate.target, 0)])
+        one = _axis_index(n_qubits, block + [(gate.target, 1)])
+        a0, a1 = psi[zero], psi[one]
+        if swap:
+            psi[zero], psi[one] = a1, a0.copy()
+        else:
+            psi[zero], psi[one] = u00 * a0 + u01 * a1, u10 * a0 + u11 * a1
+
+
+# Kernel steps of each circuit object, dropped when the circuit is.
+_STEPS: weakref.WeakKeyDictionary[CircuitProgram, tuple[GateSpec | np.ndarray, ...]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _circuit_steps(circuit: CircuitProgram) -> Sequence[GateSpec | np.ndarray]:
+    """The steps :func:`_evolve` runs for ``circuit``.
+
+    Each maximal run of two or more consecutive gates whose matrix is byte
+    for byte ``X_MATRIX`` (X, CNOT, Toffoli, C³NOT) is an exact permutation
+    of the basis, so it becomes one index table (:func:`_x_permutation`);
+    every other gate is a step of its own. The steps are computed on the
+    first call for a circuit object and kept until that object is freed.
+    A register of more than ``BLOCK_AMPLITUDES`` amplitudes gets the gates
+    as they are: there the blocked per-gate kernel is bound by memory
+    traffic, and no 2^n index table is built.
+    """
+    if 1 << circuit.n_qubits > BLOCK_AMPLITUDES:
+        return circuit.gates
+    steps = _STEPS.get(circuit)
+    if steps is None:
+        built: list[GateSpec | np.ndarray] = []
+        for is_x, group in groupby(circuit.gates, lambda g: g.matrix.tobytes() == _X_BYTES):
+            run = tuple(group)
+            if is_x and len(run) > 1:
+                built.append(_x_permutation(circuit.n_qubits, run))
             else:
-                psi[zero], psi[one] = u00 * a0 + u01 * a1, u10 * a0 + u11 * a1
+                built.extend(run)
+        steps = _STEPS[circuit] = tuple(built)
+    return steps
 
 
-def _run(state: StateVector, gates: Sequence[GateSpec]) -> StateVector:
-    """Copy the amplitudes once, evolve them through ``gates`` and validate
+def _x_permutation(n_qubits: int, run: Sequence[GateSpec]) -> np.ndarray:
+    """The read-only index table ``perm`` of a run of X-type gates: the run
+    maps any state ``psi`` to ``psi[perm]``. It is the basis indices
+    ``0 .. 2^n - 1`` carried through the run's own slice swaps."""
+    perm = np.arange(1 << n_qubits)
+    for gate in run:
+        _apply_gate_slices(perm.reshape((2,) * n_qubits), n_qubits, gate, gate.matrix)
+    perm.flags.writeable = False
+    return perm
+
+
+def _run(state: StateVector, steps: Sequence[GateSpec | np.ndarray]) -> StateVector:
+    """Copy the amplitudes once, evolve them through ``steps`` and validate
     the result once."""
     amps = state.amplitudes.copy()
-    _evolve(amps.reshape((2,) * state.n_qubits), state.n_qubits, gates)
+    _evolve(amps.reshape((2,) * state.n_qubits), state.n_qubits, steps)
     amps.flags.writeable = False
     return StateVector(state.n_qubits, amps)
 
@@ -211,12 +279,14 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
 
 def apply_circuit(state: StateVector, circuit: CircuitProgram) -> StateVector:
     """Apply the circuit's gates left to right; the result is validated once,
-    not after every gate."""
+    not after every gate. Runs of X-type gates are applied as one
+    permutation each (:func:`_circuit_steps`), which moves every amplitude
+    exactly as the gates one by one would."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, state has {state.n_qubits}"
         )
-    return _run(state, circuit.gates)
+    return _run(state, _circuit_steps(circuit))
 
 
 def _branch(state: StateVector, qubit: int, outcome: int) -> tuple[np.ndarray, tuple]:

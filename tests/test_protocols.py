@@ -1,5 +1,6 @@
 """Circuit builders, the flag-post-selected expansion, recycling, and shot statistics."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,29 @@ def test_flag_probability_is_exactly_five_sixths():
     p_failure, _ = postselect(pre, 5, 1)
     assert abs(p_success - 5 / 6) <= 1e-12
     assert abs(p_failure - 1 / 6) <= 1e-12
+
+
+# P(flag = 0) on D(4,2)|00> after each of the expansion circuit's 29 gate
+# records, in order; G9's two records are its X on d1 and its CNOT.
+FLAG0_AFTER_EACH_RECORD = (
+    [("G1", 1), ("G2", 1), ("G3", 1), ("G4", 1), ("G5", 1), ("G6", 1), ("G7", 1)]
+    + [("G8", Fraction(2, 3)), ("G9", Fraction(2, 3)), ("G9", Fraction(5, 6))]
+    + [("G10", 1), ("G11", 1), ("G11", 1), ("G11", 1)]
+    + [(label, Fraction(11, 12)) for label in ("G12", "G13", "G13", "G14", "G15", "G16", "G17")]
+    + [("G18", Fraction(3, 4)), ("G19", Fraction(17, 24)), ("G20", Fraction(3, 4))]
+    + [(label, Fraction(5, 6)) for label in ("G21", "G22", "G22", "G23", "G24")]
+)
+
+
+def test_flag_probability_after_every_gate_record():
+    # every prefix, so both X runs are also cut at every point
+    circuit = build_d4_to_d5_circuit()
+    assert [gate.label for gate in circuit.gates] == [label for label, _ in FLAG0_AFTER_EACH_RECORD]
+    for length, (_, expected) in enumerate(FLAG0_AFTER_EACH_RECORD, start=1):
+        prefix = CircuitProgram(6, circuit.gates[:length], circuit.qubit_labels)
+        out = apply_circuit(protocols.NOMINAL_INPUT, prefix).amplitudes
+        # the flag is the last qubit, so flag-0 amplitudes sit at even indices
+        assert abs(float(np.sum(np.abs(out[::2]) ** 2)) - expected) <= 1e-12, length
 
 
 def test_expansion_success_branch():

@@ -1,5 +1,7 @@
 """Statevector engine: gate application, branch selection, fidelity, reductions."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -255,10 +257,37 @@ def test_batch_axis_evolves_each_row_as_its_own_state():
             np.testing.assert_array_equal(batch[row].reshape(-1), expected.amplitudes)
 
 
-def evolved_bytes(psi, n, circuit_gates, matrices=None):
+def evolved_bytes(psi, n, steps, matrices=None):
+    """``psi`` evolved through a gate sequence, or through a circuit's kernel
+    steps as resolved at call time, as bytes."""
     out = psi.copy()
-    _evolve(out, n, circuit_gates, matrices)
+    if isinstance(steps, CircuitProgram):
+        steps = sim._circuit_steps(steps)
+    _evolve(out, n, steps, matrices)
     return out.tobytes()
+
+
+def x_rich_circuit(rng, n_qubits):
+    """Runs of 1-8 X-type gates with 0-3 controls, each run ended by an H,
+    RX or RY gate with 0-3 controls."""
+    circuit_gates = []
+    for _ in range(int(rng.integers(1, 5))):
+        names = ["X"] * int(rng.integers(1, 9)) + [str(rng.choice(["H", "RX", "RY"]))]
+        for name in names:
+            theta = float(rng.uniform(-np.pi, np.pi)) if name in ("RX", "RY") else None
+            n_controls = int(rng.integers(0, min(3, n_qubits - 1) + 1))
+            qubits = [int(q) for q in rng.choice(n_qubits, n_controls + 1, replace=False)]
+            circuit_gates.append(gates.make_gate(name, qubits[:-1], qubits[-1], theta=theta))
+    return CircuitProgram(n_qubits, tuple(circuit_gates), tuple(f"q{i}" for i in range(n_qubits)))
+
+
+def signed_zero_amplitudes(rng, shape):
+    """Random complex amplitudes with about 30% of real and imaginary parts
+    -0.0."""
+    parts = np.where(rng.random((2,) + shape) < 0.3, -0.0, rng.normal(size=(2,) + shape))
+    psi = np.empty(shape, dtype=complex)
+    psi.real, psi.imag = parts
+    return psi
 
 
 @pytest.mark.parametrize("block", [1, 4, 64, 1 << 62])
@@ -281,8 +310,11 @@ def test_blocked_kernel_is_byte_identical_at_any_block_size(monkeypatch, block):
         batch = batch.reshape((rows,) + (2,) * n)
         # the reference runs at the default constant, which splits none of these
         assert batch.size // 2 <= sim.BLOCK_AMPLITUDES
+        # a circuit's fused runs apply only up to BLOCK_AMPLITUDES, so the
+        # patched constant also switches between the two paths
+        x_circuit = x_rich_circuit(rng, n)
         cases += [(single, n, circuit_gates), (batch, n, circuit_gates),
-                  (batch, n, circuit_gates, stacks)]
+                  (batch, n, circuit_gates, stacks), (single, n, x_circuit), (batch, n, x_circuit)]
     expected = [evolved_bytes(*case) for case in cases]
     monkeypatch.setattr(sim, "BLOCK_AMPLITUDES", block)
     assert [evolved_bytes(*case) for case in cases] == expected
@@ -317,13 +349,87 @@ def test_x_type_gates_permute_amplitudes_exactly(build, n_controls):
         _evolve(stacked, n, (gate,), [gate.matrix[None]])
         assert np.array_equal(out, stacked.reshape(-1))
         # the swap moves every amplitude bit for bit, signed zeros included
-        parts = np.where(rng.random((2, 1 << n)) < 0.3, -0.0, rng.normal(size=(2, 1 << n)))
-        psi = np.empty(1 << n, dtype=complex)
-        psi.real, psi.imag = parts
+        psi = signed_zero_amplitudes(rng, (1 << n,))
         index = np.arange(1 << n)
         flip = np.all([(index >> (n - 1 - c)) & 1 for c in controls], axis=0)
         expected = psi[index ^ np.where(flip, 1 << (n - 1 - target), 0)]
         assert evolved_bytes(psi.reshape((2,) * n), n, (gate,)) == expected.tobytes()
+
+
+def test_fused_x_runs_match_gate_by_gate_application_byte_for_byte():
+    rng = np.random.default_rng(47)
+    fused = 0
+    for n in range(1, 11):
+        for _ in range(6):
+            circuit = x_rich_circuit(rng, n)
+            fused += sum(isinstance(step, np.ndarray) for step in sim._circuit_steps(circuit))
+            psi = signed_zero_amplitudes(rng, (1 << n,))
+            psi[0] = 1.0  # never all zeros
+            state = StateVector(n, psi / np.linalg.norm(psi))
+            expected = state
+            for gate in circuit.gates:
+                expected = apply_gate(expected, gate)
+            evolved = apply_circuit(state, circuit)
+            assert evolved.amplitudes.tobytes() == expected.amplitudes.tobytes()
+            # a batch of columns, as verify's oracle loop runs them
+            batch = signed_zero_amplitudes(rng, (16,) + (2,) * n)
+            assert evolved_bytes(batch, n, circuit) == evolved_bytes(batch, n, circuit.gates)
+    assert fused > 0
+
+
+def test_paper_circuit_runs_as_h_fused_run_ch_fused_run():
+    circuit = build_d4_to_d5_circuit()
+    first, run_a, middle, run_b = sim._circuit_steps(circuit)
+    assert first is circuit.gates[0] and first.label == "G1" and first.name == "H"
+    assert middle is circuit.gates[17] and middle.label == "G14" and middle.name == "H"
+    for perm, records, count, labels in ((run_a, circuit.gates[1:17], 16, range(2, 14)),
+                                         (run_b, circuit.gates[18:], 11, range(15, 25))):
+        assert len(records) == count
+        assert {g.label for g in records} == {f"G{i}" for i in labels}
+        # the run's Kronecker-product matrix has its one 1 of row i at perm[i]
+        matrix = circuit_unitary(CircuitProgram(6, records, circuit.qubit_labels))
+        assert np.array_equal(np.argmax(np.abs(matrix), axis=1), perm)
+        assert not perm.flags.writeable
+
+
+@pytest.fixture
+def permutation_builds(monkeypatch):
+    """A list that gets the arguments of every index table built."""
+    built = []
+    build = sim._x_permutation
+    monkeypatch.setattr(sim, "_x_permutation", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+def test_fused_runs_are_built_once_per_circuit_and_freed_with_it(permutation_builds):
+    paper = build_d4_to_d5_circuit()
+    circuit = CircuitProgram(6, paper.gates, paper.qubit_labels)
+    source = random_state(np.random.default_rng(53), 6)
+    first = apply_circuit(source, circuit)
+    assert len(permutation_builds) == 2
+    assert apply_circuit(source, circuit).amplitudes.tobytes() == first.amplitudes.tobytes()
+    assert len(permutation_builds) == 2
+    entries = len(sim._STEPS)
+    table = weakref.ref(sim._STEPS[circuit][1])
+    del circuit
+    gc.collect()
+    assert len(sim._STEPS) == entries - 1
+    assert table() is None
+
+
+def test_no_index_table_above_block_amplitudes(permutation_builds):
+    n = 15
+    assert 1 << n > sim.BLOCK_AMPLITUDES
+    labels = tuple(f"q{i}" for i in range(n))
+    run = (gates.x(3), gates.cnot(0, 5), gates.ccnot(1, 3, 9))
+    circuit = CircuitProgram(n, (gates.h(0),) + run, labels)
+    assert sim._circuit_steps(circuit) is circuit.gates
+    state = random_state(np.random.default_rng(59), n)
+    expected = state
+    for gate in circuit.gates:
+        expected = apply_gate(expected, gate)
+    assert apply_circuit(state, circuit).amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert permutation_builds == [] and circuit not in sim._STEPS
 
 
 def test_control_locality_is_exact():
