@@ -108,26 +108,29 @@ def run_all_checks() -> list[Check]:
     def le(name: str, bound: float, actual: float) -> None:
         checks.append(Check(name, float(bound), float(actual), None, "le"))
 
+    # The paper's fixed states, built once per call and shared by the checks.
+    d4_state, d5_state, remnant = dicke_state(4, 2), dicke_state(5, 3), wlike_state()
+
     # Expansion protocol branches, evolved analytically.
-    success = run_expansion(dicke_state(4, 2), 0)
+    success = run_expansion(d4_state, 0)
     eq("flag_probability", 5.0 / 6.0, success.probability, 1e-12)
     ge(
         "success_fidelity",
         1.0 - 1e-10,
-        fidelity_pure(success.success_state, dicke_state(5, 3)),
+        fidelity_pure(success.success_state, d5_state),
     )
-    failure = run_expansion(dicke_state(4, 2), 1)
+    failure = run_expansion(d4_state, 1)
     eq("failure_probability", 1.0 / 6.0, failure.probability, 1e-12)
     ge(
         "remnant_fidelity",
         1.0 - 1e-10,
-        fidelity_pure(failure.remnant_state, wlike_state()),
+        fidelity_pure(failure.remnant_state, remnant),
     )
     eq("remnant_purity", 1.0, failure.remnant_purity, 1e-10)
     eq("separated_purity", 1.0, failure.separated_purity, 1e-10)
 
     # Overlap of the W-like remnant with the two-excitation 3-qubit state.
-    overlap = fidelity_pure(wlike_state(), wbar_state(3))
+    overlap = fidelity_pure(remnant, wbar_state(3))
     eq("remnant_overlap", (1.0 + 1.0 / math.sqrt(2.0)) ** 2 / 3.0, overlap, 1e-12)
 
     # Deterministic preparation chain.
@@ -135,14 +138,14 @@ def run_all_checks() -> list[Check]:
     ge("w3_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(w3, w_state(3)))
     d4_prep = build_d4_prep_circuit()
     d4 = apply_circuit(new_basis_state(4, "0000"), d4_prep)
-    ge("d4_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(d4, dicke_state(4, 2)))
+    ge("d4_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(d4, d4_state))
     eq("two_qubit_controlled_gate_count", 6, d4_prep.count_gates(1), 0.0)
 
     # Recycling the W-like remnant (after mapping it to single-excitation form).
-    flipped = wlike_state()
+    flipped = remnant
     for flip in recycling_flips:
         flipped = apply_gate(flipped, flip)
-    recycled = fidelity_pure(run_recycling(flipped), dicke_state(4, 2))
+    recycled = fidelity_pure(run_recycling(flipped), d4_state)
     ge("recycled_fidelity", 0.9, recycled)
 
     # Exact combinatorics.
@@ -152,11 +155,11 @@ def run_all_checks() -> list[Check]:
     pmax = max_success_probability(params)
     eq("max_success_probability", 5.0 / 6.0, float(pmax), 0.0)
     source_ok = verify_decomposition(
-        dicke_state(4, 2), (0, 1, 2), (3,), decompose_source(params)
+        d4_state, (0, 1, 2), (3,), decompose_source(params)
     )
     eq("source_decomposition", 1.0, float(source_ok), 0.0)
     target_ok = verify_decomposition(
-        dicke_state(5, 3), (0, 1, 2, 3), (4,), decompose_target(params)
+        d5_state, (0, 1, 2, 3), (4,), decompose_target(params)
     )
     eq("target_decomposition", 1.0, float(target_ok), 0.0)
 

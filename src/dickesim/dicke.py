@@ -10,6 +10,7 @@ here in exact rational arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,21 +35,33 @@ def dicke_state(n: int, k: int) -> StateVector:
     return StateVector(n, amps)
 
 
+@functools.cache
+def _popcount_table() -> np.ndarray:
+    """Hamming weight of every 16-bit integer 0 .. 2**16 - 1 (64 KiB of
+    ``uint8``), built once per process on first use by doubling: the weights
+    of 2**b .. 2**(b+1) - 1 are those of 0 .. 2**b - 1 plus one. Read-only,
+    as every caller shares it."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(16):
+        table = np.concatenate((table, table + 1))
+    table.flags.writeable = False
+    return table
+
+
 def _hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every n-bit basis string as a ``(2,) * n`` tensor.
+    """Hamming weight of every n-bit basis string as a ``(2,) * n`` tensor of
+    ``uint8``.
 
-    Each step prepends a qubit axis, so ``np.add.outer`` runs two inner loops
-    over the whole previous tensor rather than one loop of length 2 per entry.
+    For n <= 16 this is a read-only view of the first 2**n entries of the
+    popcount table, with no arithmetic. Above that, the weight of
+    ``high * 2**16 + low`` is the weight of ``high`` plus that of ``low``: one
+    ``np.add.outer`` of the (n - 16)-bit weights with the table. Nothing is
+    cached per n, so memory stays bounded whatever n callers ask for.
     """
-    weights = np.zeros((), dtype=np.uint8)
-    for _ in range(n):
-        weights = np.add.outer(np.array([0, 1], dtype=np.uint8), weights)
-    return weights
-
-
-def _dicke_tensor(n: int, k: int) -> np.ndarray:
-    """Real amplitudes of D(n, k) as a ``(2,) * n`` tensor; n may be 0."""
-    return np.where(_hamming_weights(n) == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
+    table = _popcount_table()
+    if n <= 16:
+        return table[:1 << n].reshape((2,) * n)
+    return np.add.outer(_hamming_weights(n - 16).reshape(-1), table).reshape((2,) * n)
 
 
 def w_state(n: int) -> StateVector:
@@ -230,6 +243,27 @@ def max_success_probability(params: BipartitionParams) -> Fraction:
     return Fraction(best_source * target_denominator, best_target * source_denominator)
 
 
+def _split_tensor(decomposition: DickeDecomposition) -> np.ndarray:
+    """Amplitudes of sum_j c_j |D_A^{M-j}> (x) |D_B^{j}> as a ``(2,) * n``
+    tensor with A's axes first.
+
+    An amplitude depends only on the Hamming weights of its A and B parts, so
+    one ``(|A| + 1, |B| + 1)`` table holds c_j * (1/sqrt(C(|A|, M-j)) *
+    1/sqrt(C(|B|, j))) at row M-j, column j, and one gather indexed by the
+    broadcast weight tensors of A and B fills the whole tensor. Each entry is
+    the same product, summed in the same order, as in the per-term sum of
+    outer products c_j D_A (x) D_B, so the tensor equals it byte for byte.
+    """
+    a_size, b_size = decomposition.a_size, decomposition.b_size
+    amplitude = np.zeros((a_size + 1, b_size + 1))
+    for t in decomposition.terms:
+        d_a = 1.0 / math.sqrt(math.comb(a_size, t.a_excitations))
+        d_b = 1.0 / math.sqrt(math.comb(b_size, t.j))
+        amplitude[t.a_excitations, t.j] += t.coefficient * (d_a * d_b)
+    a_weights = _hamming_weights(a_size).reshape((2,) * a_size + (1,) * b_size)
+    return amplitude[a_weights, _hamming_weights(b_size)]
+
+
 def verify_decomposition(
     state: StateVector,
     a_indices: Sequence[int],
@@ -239,8 +273,9 @@ def verify_decomposition(
     """Check that ``state`` equals sum_j c_j |D_A^{M-j}> (x) |D_B^{j}>.
 
     A keeps the relative order of ``a_indices``; B follows. The expected
-    ``(2,) * n`` tensor is built as sum_j c_j D_A (x) D_B, its axes are moved
-    onto ``a_indices + b_indices``, and every amplitude must agree within
+    ``(2,) * n`` tensor is one gather from a table of amplitudes by the Hamming
+    weights of A and B (:func:`_split_tensor`); its axes are moved onto
+    ``a_indices + b_indices``, and every amplitude must agree within
     ``DECOMPOSITION_ATOL``.
     """
     a_indices = list(a_indices)
@@ -253,9 +288,5 @@ def verify_decomposition(
             f"split sizes ({len(a_indices)}, {len(b_indices)}) do not match "
             f"decomposition sizes ({decomposition.a_size}, {decomposition.b_size})"
         )
-    expected = np.zeros((2,) * n)
-    for t in decomposition.terms:
-        d_a, d_b = _dicke_tensor(len(a_indices), t.a_excitations), _dicke_tensor(len(b_indices), t.j)
-        expected += t.coefficient * np.multiply.outer(d_a, d_b)
-    expected = np.moveaxis(expected, range(n), a_indices + b_indices)
+    expected = np.moveaxis(_split_tensor(decomposition), range(n), a_indices + b_indices)
     return bool(np.all(np.abs(state.amplitudes.reshape((2,) * n) - expected) <= DECOMPOSITION_ATOL))

@@ -406,6 +406,32 @@ def test_warm_checks_equal_cold_checks(fresh_references):
     assert fresh_references.run_all_checks() == cold
 
 
+def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):
+    from dickesim import dicke
+
+    dicke._popcount_table.cache_clear()
+    cold = fresh_references.run_all_checks()
+    built = []
+    original = fresh_references.dicke_state
+
+    def counting(n, k):
+        built.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(fresh_references, "dicke_state", counting)
+    assert fresh_references.run_all_checks() == cold
+    # D(4, 2) and D(5, 3), each shared by every check that needs it
+    assert sorted(built) == [(4, 2), (5, 3)]
+    # the popcount table behind every Dicke state: one build, then reads only
+    assert dicke._popcount_table.cache_info().misses == 1
+    table = dicke._popcount_table()
+    assert table.shape == (1 << 16,) and table.dtype == np.uint8
+    with pytest.raises(ValueError):
+        table[0] = 1
+    with pytest.raises(ValueError):
+        dicke._hamming_weights(4)[0, 0, 0, 0] = 1
+
+
 def test_warm_oracle_still_catches_a_broken_kernel(monkeypatch, capsys):
     from dickesim import checks
 

@@ -1,4 +1,5 @@
 """Dicke-state construction and the exact bipartition combinatorics."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,8 +24,7 @@ from dickesim import (
     wbar_state,
     wlike_state,
 )
-from dickesim import gates
-from dickesim.dicke import _dicke_tensor
+from dickesim import dicke, gates
 from dickesim.sim import NORM_ATOL
 
 
@@ -61,16 +61,17 @@ def test_dicke_zero_excitations():
 
 
 def test_dicke_state_matches_bit_count_loop():
-    # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0
-    for n in range(15):
+    # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0.
+    # n = 16, 17 and 20 sit on both sides of the popcount table's 16 bits.
+    for n in [*range(15), 16, 17, 20]:
         index = np.arange(1 << n)
-        popcount = sum((index >> q) & 1 for q in range(n))
-        for k in range(n + 1):
-            expected = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
-            tensor = _dicke_tensor(n, k)
-            assert tensor.shape == (2,) * n
-            assert tensor.tobytes() == expected.tobytes()
-            if n:
+        popcount = sum(((index >> q) & 1 for q in range(n)), np.zeros_like(index))
+        weights = dicke._hamming_weights(n)
+        assert weights.shape == (2,) * n
+        assert weights.tobytes() == popcount.astype(np.uint8).tobytes()
+        if n:
+            for k in range(n + 1):
+                expected = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
                 amplitudes = dicke_state(n, k).amplitudes
                 assert amplitudes.tobytes() == expected.astype(complex).tobytes()
 
@@ -348,6 +349,54 @@ def test_verify_rejects_bad_split():
         verify_decomposition(dicke_state(4, 2), (0, 1), (3,), decomposition)
     with pytest.raises(ValueError, match="sizes"):
         verify_decomposition(dicke_state(4, 2), (0, 1), (2, 3), decomposition)
+
+
+def per_term_split_tensor(decomposition):
+    """Reference: sum_j c_j D_A (x) D_B as one outer product per term."""
+    def dicke_tensor(n, k):
+        index = np.arange(1 << n)
+        popcount = sum((index >> q) & 1 for q in range(n))
+        amplitudes = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
+        return amplitudes.reshape((2,) * n)
+
+    a_size, b_size = decomposition.a_size, decomposition.b_size
+    expected = np.zeros((2,) * (a_size + b_size))
+    for t in decomposition.terms:
+        d_a, d_b = dicke_tensor(a_size, t.a_excitations), dicke_tensor(b_size, t.j)
+        expected += t.coefficient * np.multiply.outer(d_a, d_b)
+    return expected
+
+
+def test_split_tensor_equals_the_per_term_sum():
+    rng = np.random.default_rng(2718)
+    instances = [(4, 2, 0), (4, 2, 4), (1, 1, 0), (1, 0, 1)]  # |A| = 0 and |B| = 0
+    for _ in range(40):
+        total = int(rng.integers(1, 11))
+        instances.append(
+            (total, int(rng.integers(0, total + 1)), int(rng.integers(0, total + 1))))
+    for total, excitations, accessible in instances:
+        decomposition = decompose_source(BipartitionParams(total, excitations, accessible))
+        tensor = dicke._split_tensor(decomposition)
+        expected = per_term_split_tensor(decomposition)
+        assert tensor.shape == expected.shape and tensor.dtype == expected.dtype
+        assert tensor.tobytes() == expected.tobytes(), (total, excitations, accessible)
+
+        state = dicke_state(total, excitations)
+        a, b = tuple(range(accessible)), tuple(range(accessible, total))
+        assert verify_decomposition(state, a, b, decomposition)
+        terms = list(decomposition.terms)
+        nudged = dataclasses.replace(terms[0], coefficient=terms[0].coefficient + 1e-9)
+        wrong = dataclasses.replace(decomposition, terms=(nudged, *terms[1:]))
+        assert not verify_decomposition(state, a, b, wrong)
+        if len(terms) > 1:
+            first, second = terms[0], terms[1]
+            swapped = (
+                dataclasses.replace(first, j=second.j),
+                dataclasses.replace(second, j=first.j),
+                *terms[2:],
+            )
+            wrong = dataclasses.replace(decomposition, terms=swapped)
+            assert not verify_decomposition(state, a, b, wrong)
 
 
 def test_exhaustive_decomposition_sweep():
