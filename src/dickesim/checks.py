@@ -5,9 +5,12 @@ reports name, expected, actual and tolerance; ``dickesim verify`` renders the
 list through the CLI's one table type, with 12 significant digits.
 
 The fixed references of the paper's instance, the expansion circuit's
-full-matrix oracle and the bit flips, are built once per process, on the
-first call (:func:`_expansion_references`); every call runs the kernel and
-checks it against them.
+full-matrix oracle, the index table of a bit flip on its untouched qubit and
+the recycling flips, are built once per process, on the first call
+(:func:`_expansion_references`); every call runs the kernel and checks it
+against them. A call evolves D(4,2) with |00> ancillas once and reads both
+flag branches from that one state, and applies the three recycling flips as
+one circuit, which the kernel runs as a single permutation.
 """
 from __future__ import annotations
 
@@ -32,17 +35,17 @@ from .dicke import (
 from .noise import FidelityMode, fidelity_sweep
 from .protocols import (
     EXPANSION_LAYOUT,
+    _expansion_branch,
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
     build_w3_circuit,
-    run_expansion,
+    expansion_premeasurement,
     run_recycling,
     verify_untouched,
 )
 from .sim import (
     _evolve,
     apply_circuit,
-    apply_gate,
     fidelity_pure,
     new_basis_state,
 )
@@ -69,35 +72,53 @@ class Check:
 
 
 class _References(NamedTuple):
-    """The expansion circuit's full matrix, the matrix of a bit flip on its
-    untouched qubit, and the three flips that map the W-like remnant to
-    single-excitation form."""
+    """The expansion circuit's full matrix; the index table ``p`` of a bit
+    flip on its untouched qubit, whose matrix ``P`` has ``P[i, p[i]] = 1``;
+    and the three flips that map the W-like remnant to single-excitation
+    form, as one circuit."""
 
     oracle: np.ndarray
-    d4_flip: np.ndarray
-    recycling_flips: tuple[gates.GateSpec, ...]
+    d4_flip_index: np.ndarray
+    recycling_flips: gates.CircuitProgram
 
 
 @functools.cache
 def _expansion_references() -> _References:
     """Build the paper instance's verification references once per process,
     on the first call, through the Kronecker-product oracle
-    (:func:`sim.circuit_unitary`, :func:`sim.gate_unitary`). Both matrices
-    are read-only, as they are shared by every later call."""
+    (:func:`sim.circuit_unitary`, :func:`sim.gate_unitary`). The flip's
+    matrix must be a symmetric permutation matrix, so that its index table
+    is its own inverse. Both arrays are read-only, as they are shared by
+    every later call."""
     circuit = build_d4_to_d5_circuit()
+    dim = 1 << circuit.n_qubits
+    flip = sim.gate_unitary(gates.x(EXPANSION_LAYOUT.index("d4")), circuit.n_qubits)
+    index = np.argmax(flip.real, axis=1)
+    if not (
+        np.array_equal(flip, np.eye(dim)[index]) and np.array_equal(index[index], np.arange(dim))
+    ):
+        raise ValueError("the flip on d4 is not a symmetric permutation matrix")
     refs = _References(
         sim.circuit_unitary(circuit),
-        sim.gate_unitary(gates.x(EXPANSION_LAYOUT.index("d4")), circuit.n_qubits),
-        tuple(gates.x(qubit) for qubit in range(3)),
+        index,
+        gates.CircuitProgram(3, tuple(gates.x(qubit) for qubit in range(3)), ("d1", "d2", "d3")),
     )
     refs.oracle.flags.writeable = False
-    refs.d4_flip.flags.writeable = False
+    refs.d4_flip_index.flags.writeable = False
     return refs
+
+
+def _flip_commutator(unitary: np.ndarray, index: np.ndarray) -> float:
+    """max |UP - PU| for the symmetric permutation matrix ``P`` with index
+    table ``index``, as max |U - PUP|: the two differences hold the same
+    entries, as ``(UP - PU)[i, p[j]] = U[i, j] - U[p[i], p[j]]``, so the
+    maximum is the same bit for bit. ``PUP`` is one gather of ``U``."""
+    return float(np.max(np.abs(unitary - unitary[index[:, None], index])))
 
 
 def run_all_checks() -> list[Check]:
     checks: list[Check] = []
-    oracle, d4_flip, recycling_flips = _expansion_references()
+    oracle, d4_flip_index, recycling_flips = _expansion_references()
 
     def eq(name: str, expected: float, actual: float, tolerance: float) -> None:
         checks.append(Check(name, float(expected), float(actual), tolerance, "eq"))
@@ -111,15 +132,16 @@ def run_all_checks() -> list[Check]:
     # The paper's fixed states, built once per call and shared by the checks.
     d4_state, d5_state, remnant = dicke_state(4, 2), dicke_state(5, 3), wlike_state()
 
-    # Expansion protocol branches, evolved analytically.
-    success = run_expansion(d4_state, 0)
+    # Expansion protocol branches, both read from one evolved state.
+    pre = expansion_premeasurement(d4_state)
+    success = _expansion_branch(pre, 0)
     eq("flag_probability", 5.0 / 6.0, success.probability, 1e-12)
     ge(
         "success_fidelity",
         1.0 - 1e-10,
         fidelity_pure(success.success_state, d5_state),
     )
-    failure = run_expansion(d4_state, 1)
+    failure = _expansion_branch(pre, 1)
     eq("failure_probability", 1.0 / 6.0, failure.probability, 1e-12)
     ge(
         "remnant_fidelity",
@@ -142,9 +164,7 @@ def run_all_checks() -> list[Check]:
     eq("two_qubit_controlled_gate_count", 6, d4_prep.count_gates(1), 0.0)
 
     # Recycling the W-like remnant (after mapping it to single-excitation form).
-    flipped = remnant
-    for flip in recycling_flips:
-        flipped = apply_gate(flipped, flip)
+    flipped = apply_circuit(remnant, recycling_flips)
     recycled = fidelity_pure(run_recycling(flipped), d4_state)
     ge("recycled_fidelity", 0.9, recycled)
 
@@ -183,8 +203,7 @@ def run_all_checks() -> list[Check]:
     eq("oracle_equivalence", 0.0, worst, 1e-12)
 
     # The circuit matrix commutes with a bit flip on the untouched qubit.
-    commutator = float(np.max(np.abs(oracle @ d4_flip - d4_flip @ oracle)))
-    eq("untouched_commutes", 0.0, commutator, 1e-12)
+    eq("untouched_commutes", 0.0, _flip_commutator(oracle, d4_flip_index), 1e-12)
 
     # Robustness anchors.
     rows = fidelity_sweep([0.0, 0.01, 0.1], mode=FidelityMode.POST_SELECTED_SUCCESS)

@@ -203,7 +203,16 @@ def run_expansion(state: StateVector, outcome: int) -> ExpansionOutcome:
 
     Raises ``ValueError`` if that branch is impossible for this input.
     """
-    pre = expansion_premeasurement(state)
+    return _expansion_branch(expansion_premeasurement(state), outcome)
+
+
+def _expansion_branch(pre: StateVector, outcome: int) -> ExpansionOutcome:
+    """Post-select the flag of a pre-measurement state
+    (:func:`expansion_premeasurement`) on ``outcome``, as :func:`run_expansion`
+    does; both branches can be read from one evolved state.
+
+    Raises ``ValueError`` if that branch is impossible for this state.
+    """
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
     probability, collapsed = postselect(pre, flag, outcome)
     five = drop_qubit(collapsed, flag, outcome)

@@ -91,8 +91,16 @@ def _check_normalized(amps: np.ndarray) -> None:
     equal amplitudes of D(22, 11) that rounds to 2e-13, where
     ``np.linalg.norm``'s near-sequential sum is off by 1.1e-12. A NaN or
     infinite amplitude makes its row's norm NaN or infinite, so finiteness
-    is checked only when a norm fails, to name the cause."""
+    is checked only when a norm fails, to name the cause.
+
+    One state (a 1-D array) is checked as a scalar: the square root of the
+    dot product of its float view, compared as a Python float. That is the
+    same value, bit for bit, as the batched row norm, without its array
+    temporaries. Only a state that fails goes on to the batched check, which
+    raises with the same message as for a row."""
     f = amps.view(float)
+    if f.ndim == 1 and abs(math.sqrt(f @ f) - 1.0) <= NORM_ATOL:
+        return
     try:
         _check_norms(np.sqrt(f[..., None, :] @ f[..., None]))
     except ValueError:

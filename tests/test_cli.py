@@ -393,12 +393,112 @@ def test_references_are_built_once_per_process(fresh_references, monkeypatch):
 
 
 def test_references_are_read_only(fresh_references):
+    from dickesim import sim
+
     refs = fresh_references._expansion_references()
-    arrays = [refs.oracle, refs.d4_flip] + [flip.matrix for flip in refs.recycling_flips]
-    assert len(arrays) == 5
+    # the flips run as one fused permutation, itself a read-only index table
+    (fused,) = sim._circuit_steps(refs.recycling_flips)
+    arrays = [refs.oracle, refs.d4_flip_index, fused]
+    arrays += [flip.matrix for flip in refs.recycling_flips.gates]
+    assert len(arrays) == 6
     for array in arrays:
         with pytest.raises(ValueError):
-            array[0, 0] = 0.0
+            array[(0,) * array.ndim] = 0
+
+
+def flip_commutator_by_matmul(unitary):
+    """max |UP - PU| for the bit flip P on d4, from two dense products."""
+    from dickesim import sim
+
+    flip = sim.gate_unitary(gates.x(3), 6)
+    return float(np.max(np.abs(unitary @ flip - flip @ unitary)))
+
+
+def test_untouched_commutes_fails_for_a_gate_on_d4(fresh_references, monkeypatch):
+    from dickesim import build_d4_to_d5_circuit, sim
+
+    refs = fresh_references._expansion_references()
+    circuit = build_d4_to_d5_circuit()
+    touched = gates.CircuitProgram(6, circuit.gates + (gates.h(3),), circuit.qubit_labels)
+    unitary = sim.circuit_unitary(touched)
+    commutator = fresh_references._flip_commutator(unitary, refs.d4_flip_index)
+    assert commutator > 0.5
+    assert commutator == flip_commutator_by_matmul(unitary)
+    monkeypatch.setattr(
+        fresh_references, "_expansion_references", lambda: refs._replace(oracle=unitary)
+    )
+    by_name = {check.name: check for check in fresh_references.run_all_checks()}
+    assert by_name["untouched_commutes"].actual == commutator
+    assert not by_name["untouched_commutes"].passed
+
+
+def test_flip_commutator_equals_the_dense_products_bit_for_bit(fresh_references):
+    from conftest import random_named_circuit
+    from dickesim import sim
+
+    index = fresh_references._expansion_references().d4_flip_index
+    rng = np.random.default_rng(1906)
+    values = []
+    for size in (1, 4, 12, 30):
+        for _ in range(5):
+            unitary = sim.circuit_unitary(random_named_circuit(rng, 6, size))
+            values.append(fresh_references._flip_commutator(unitary, index))
+            assert values[-1] == flip_commutator_by_matmul(unitary)
+    assert min(values) == 0.0 and max(values) > 0.5  # some leave d4 alone
+
+
+@pytest.mark.parametrize("flip", ["hadamard", "cycle", "negated"])
+def test_references_reject_a_flip_that_is_not_a_symmetric_permutation(
+    fresh_references, monkeypatch, flip
+):
+    from dickesim import sim
+
+    original = sim.gate_unitary
+
+    def replaced(gate, n_qubits):
+        matrix = original(gate, n_qubits)
+        if gate.target != 3:  # the circuit's own gates never touch d4
+            return matrix
+        if flip == "hadamard":
+            return original(gates.h(3), n_qubits)
+        if flip == "cycle":  # a permutation, but not its own inverse
+            return np.roll(np.eye(1 << n_qubits, dtype=complex), 1, axis=1)
+        return -matrix
+
+    monkeypatch.setattr(sim, "gate_unitary", replaced)
+    with pytest.raises(ValueError, match="the flip on d4 is not a symmetric permutation matrix"):
+        fresh_references._expansion_references()
+
+
+def test_warm_checks_evolve_each_state_once(fresh_references, monkeypatch):
+    from dickesim import noise, sim
+
+    cold = fresh_references.run_all_checks()
+    evolved, steps, states = [], [], []
+    kernel = sim._evolve
+
+    def counting(psi, n_qubits, kernel_steps, *args):
+        evolved.append(n_qubits)
+        steps.append(len(kernel_steps))
+        kernel(psi, n_qubits, kernel_steps, *args)
+
+    for module in (sim, noise, fresh_references):
+        monkeypatch.setattr(module, "_evolve", counting)
+    post_init = sim.StateVector.__post_init__
+
+    def counting_states(self):
+        states.append(self.n_qubits)
+        post_init(self)
+
+    monkeypatch.setattr(sim.StateVector, "__post_init__", counting_states)
+    assert fresh_references.run_all_checks() == cold
+    # D(4,2)|00> once for both flag branches (4 steps), the W3 and D4
+    # preparations (3 and 5), the three recycling flips as one permutation
+    # (1), the recycling run (2), and the oracle's 64 columns in 4 batches
+    # of 4 steps
+    assert steps == [4, 3, 5, 1, 2, 4, 4, 4, 4]
+    assert len(evolved) == 9 and sum(steps) == 31
+    assert len(states) == 22
 
 
 def test_warm_checks_equal_cold_checks(fresh_references):

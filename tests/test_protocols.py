@@ -1,4 +1,5 @@
 """Circuit builders, the flag-post-selected expansion, recycling, and shot statistics."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state
 from dickesim import (
+    ExpansionOutcome,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -223,6 +226,21 @@ def test_expansion_failure_branch():
     assert outcome.separated_purity == pytest.approx(1.0, abs=1e-10)
     # d4 and the first ancilla come out in |00>
     np.testing.assert_allclose(outcome.separated_state.amplitudes, [1, 0, 0, 0], atol=1e-10)
+
+
+def test_run_expansion_equals_both_branches_of_one_evolved_state():
+    rng = np.random.default_rng(1907)
+    for source in [dicke_state(4, 2)] + [random_state(rng, 4) for _ in range(3)]:
+        pre = expansion_premeasurement(source)
+        for outcome in (0, 1):
+            alone = run_expansion(source, outcome)
+            shared = protocols._expansion_branch(pre, outcome)
+            for field in dataclasses.fields(ExpansionOutcome):
+                a, b = getattr(alone, field.name), getattr(shared, field.name)
+                if isinstance(a, StateVector):
+                    assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+                else:
+                    assert a == b
 
 
 def test_expansion_rejects_wrong_register_size():

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gate, random_named_circuit, random_state, random_unitary_2x2
 from dickesim import (
@@ -103,6 +105,87 @@ def test_batched_norm_check_rejects_one_bad_row():
         sim._check_normalized(nan_row)
     with pytest.raises(ValueError, match="not normalized"):
         sim._check_normalized(long_row)
+
+
+def _norm_check_outcome(amps):
+    """None if ``sim._check_normalized`` accepts ``amps``, else its message."""
+    try:
+        sim._check_normalized(amps)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _norm_test_state(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_state(rng, n).amplitudes
+    if kind == "dicke":
+        return dicke_state(n, int(rng.integers(n + 1))).amplitudes
+    return new_basis_state(n, format(int(rng.integers(1 << n)), f"0{n}b")).amplitudes
+
+
+def _near_one_norms():
+    """1, and 1 +- NORM_ATOL each with its neighbours one ulp away."""
+    norms = [1.0]
+    for edge in (1.0 - sim.NORM_ATOL, 1.0 + sim.NORM_ATOL):
+        norms += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
+    return norms
+
+
+def assert_one_state_is_checked_as_a_batch_row(amps):
+    # the scalar norm of one state is the batched row norm, bit for bit
+    f = amps.view(float)
+    batched = float(np.sqrt(f[None, None, :] @ f[None, :, None])[0, 0, 0])
+    assert math.sqrt(f @ f).hex() == batched.hex()
+    for target in _near_one_norms():
+        scaled = amps * (target / batched)
+        assert _norm_check_outcome(scaled) == _norm_check_outcome(scaled[None])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.sampled_from(["random", "dicke", "basis"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_state_norm_equals_the_batched_row_norm(n, kind, seed):
+    assert_one_state_is_checked_as_a_batch_row(_norm_test_state(kind, n, seed))
+
+
+@pytest.mark.parametrize("kind, n", [("random", 20), ("dicke", 22), ("basis", 22)])
+def test_one_large_state_norm_equals_the_batched_row_norm(kind, n):
+    assert_one_state_is_checked_as_a_batch_row(_norm_test_state(kind, n, 2207))
+
+
+def test_one_state_norm_check_accepts_exactly_within_norm_atol():
+    # a basis state scaled by t has norm exactly t: sqrt(t * t) rounds to |t|
+    for target in _near_one_norms():
+        amps = np.array([0.0, target, 0.0, 0.0], dtype=complex)
+        accepted = abs(target - 1.0) <= sim.NORM_ATOL
+        assert (_norm_check_outcome(amps) is None) == accepted
+        assert _norm_check_outcome(amps[None]) == _norm_check_outcome(amps)
+
+
+@pytest.mark.parametrize(
+    "amps, message",
+    [
+        ([np.nan, 0.0], "amplitudes contain NaN or Inf"),
+        ([complex(0.6, np.inf), 0.8], "amplitudes contain NaN or Inf"),
+        ([-np.inf, np.nan], "amplitudes contain NaN or Inf"),
+        ([1.0, 1.0], "state is not normalized: |psi| = 1.4142135623730951"),
+        ([0.0, 0.0], "state is not normalized: |psi| = 0.0"),
+        ([1e200, 0.0], "state is not normalized: |psi| = inf"),
+    ],
+)
+def test_one_state_norm_check_keeps_the_batched_messages(amps, message):
+    amps = np.array(amps, dtype=complex)
+    with np.errstate(over="ignore"):
+        assert _norm_check_outcome(amps) == message
+        assert _norm_check_outcome(amps[None]) == message
+        with pytest.raises(ValueError) as raised:
+            StateVector(1, amps)
+    assert str(raised.value) == message
 
 
 def test_statevector_adopts_only_read_only_complex_arrays_that_own_their_data():
