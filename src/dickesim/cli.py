@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error, 3 check failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import functools
 import itertools
@@ -157,8 +156,47 @@ def _render_json(report: Any, sort_keys: bool) -> str:
     return "".join(pieces) + "\n"
 
 
+# renameat2(2) arguments, from <fcntl.h> and <linux/fs.h>.
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+
+
+@functools.cache
+def _renameat2() -> Callable[[int, bytes, int, bytes, int], int] | None:
+    """libc's ``renameat2``, or None off Linux or where libc lacks it."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes  # numpy has imported it already
+
+    try:
+        func = ctypes.CDLL(None, use_errno=True).renameat2
+    except (OSError, AttributeError):
+        return None
+    func.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    func.restype = ctypes.c_int
+    return func
+
+
+def _exchange(a: str, b: str) -> bool:
+    """Swap the entries at paths ``a`` and ``b`` in one step. False, with
+    nothing moved, where either is missing or the call is unsupported."""
+    renameat2 = _renameat2()
+    return renameat2 is not None and renameat2(
+        _AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE
+    ) == 0
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
-    """Write to --out atomically, or to stdout when no path is given."""
+    """Write to --out atomically, or to stdout when no path is given.
+
+    The text goes to a new ``.dickesim-*`` file beside --out. An existing
+    --out is swapped with it in one Linux ``renameat2(RENAME_EXCHANGE)``
+    call, and the temporary name, which then holds the old file, is unlinked;
+    a fresh path, other systems and a refused exchange take ``os.replace``
+    instead. Readers see the whole old file or the whole new one. A crash
+    between the exchange and the unlink can leave one ``.dickesim-*`` file,
+    which holds the old content.
+    """
     if not args.out:
         sys.stdout.write(text)
         return
@@ -174,17 +212,16 @@ def _write(args: argparse.Namespace, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, args.out) from None
     try:
         with os.fdopen(fd, "w") as handle:
-            if text and hasattr(os, "posix_fallocate"):
-                # ext4 writes out a file renamed over another while its blocks
-                # are still delayed-allocated (auto_da_alloc), a disk write of
-                # 0.2 ms typical and tens of ms at worst inside the rename;
-                # blocks allocated up front skip it. The exact encoded size,
-                # so no padding follows the text; where allocation fails, the
-                # write below still runs.
-                with contextlib.suppress(OSError):
-                    os.posix_fallocate(fd, 0, len(text.encode(handle.encoding)))
             handle.write(text)
-        os.replace(tmp_path, args.out)
+        if not _exchange(tmp_path, args.out):
+            os.replace(tmp_path, args.out)
+            return
+        try:
+            os.unlink(tmp_path)
+        except (IsADirectoryError, PermissionError):
+            # A directory appeared at --out after the isdir check: put it back.
+            _exchange(tmp_path, args.out)
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out) from None
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

@@ -224,7 +224,10 @@ def fidelity_sweep(
     if bad.any():
         _check_angle(grid[int(np.argmax(bad))])
     fit = _expansion_fit()
-    z = np.exp(0.5j * thetas)
+    # numpy multiplies a one-element array in its scalar loop, which rounds
+    # differently from the vector loop of every longer array; a one-angle
+    # grid is evaluated twice over, so its angle gets the bits any grid gives it.
+    z = np.exp(0.5j * (thetas.repeat(2) if len(grid) == 1 else thetas))
     _check_norms(np.sqrt(_horner(fit.norm, z).real))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
         probs = _horner(fit.branch_norm, z).real

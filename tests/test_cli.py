@@ -1,6 +1,5 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
 import argparse
-import errno
 import json
 import math
 import os
@@ -585,20 +584,89 @@ def test_out_directory_is_refused_before_anything_is_written(tmp_path, argv, cap
     assert not any(target.iterdir())
 
 
-@pytest.mark.parametrize("allocation", ["allocated", "refused"])
-def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, allocation, monkeypatch):
-    # The blocks reserved before writing match the encoded text, multi-byte
-    # characters included, and a refused reservation still writes the file.
-    if allocation == "refused":
-        def refuse(fd, offset, length):
-            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+def _no_exchange(monkeypatch):
+    """Make _write take its os.replace fallback, as where renameat2 is missing."""
+    monkeypatch.setattr(cli, "_renameat2", lambda: None)
 
-        monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+
+@pytest.mark.parametrize("path", ["exchanged", "replaced"])
+def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, path, monkeypatch):
+    # Multi-byte characters included, and nothing of the old file or of the
+    # temporary one is left behind.
     out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    if path == "replaced":
+        _no_exchange(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "replace", None)  # an existing file is never renamed over
     for text in ("x" * 10_000 + "\n", "p ≈ 5/6\n"):
         cli._write(argparse.Namespace(out=str(out)), text)
         assert out.read_text() == text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("path", ["exchanged", "replaced"])
+def test_out_symlink_is_replaced_and_its_target_untouched(tmp_path, path, monkeypatch):
+    if path == "replaced":
+        _no_exchange(monkeypatch)
+    target = tmp_path / "target.txt"
+    target.write_text("target\n")
+    out = tmp_path / "out.txt"
+    out.symlink_to(target)
+    cli._write(argparse.Namespace(out=str(out)), "new\n")
+    assert not out.is_symlink()
+    assert out.read_text() == "new\n"
+    assert target.read_text() == "target\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("path", ["exchanged", "replaced"])
+def test_hard_linked_sibling_keeps_the_old_content(tmp_path, path, monkeypatch):
+    if path == "replaced":
+        _no_exchange(monkeypatch)
+    out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    sibling = tmp_path / "sibling.txt"
+    os.link(out, sibling)
+    cli._write(argparse.Namespace(out=str(out)), "new\n")
+    assert out.read_text() == "new\n"
+    assert sibling.read_text() == "old\n"
+    assert sibling.stat().st_nlink == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sibling.txt"]
+
+
+def test_fresh_existing_and_fallback_outputs_match(tmp_path, monkeypatch):
+    argv = ["sample", "--shots", "1000", "--seed", "7", "--out"]
+    outs = [tmp_path / name for name in ("fresh.csv", "existing.csv", "fallback.csv")]
+    fresh, existing, fallback = outs
+    for stale in (existing, fallback):
+        stale.write_text("stale\n" * 100)
+        stale.chmod(0o600)
+    previous = os.umask(0o027)
+    try:
+        assert run_cli([*argv, str(fresh)]) == 0
+        assert run_cli([*argv, str(existing)]) == 0
+        _no_exchange(monkeypatch)
+        assert run_cli([*argv, str(fallback)]) == 0
+    finally:
+        os.umask(previous)
+    assert existing.read_bytes() == fresh.read_bytes() == fallback.read_bytes()
+    assert [stat.S_IMODE(p.stat().st_mode) for p in outs] == [0o640] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.csv", "fallback.csv", "fresh.csv"]
+
+
+def test_directory_appearing_at_out_is_swapped_back(tmp_path, monkeypatch, capsys):
+    # A directory created at --out after the isdir check is exchanged like a
+    # file; the unlink then fails on it, and it goes back in place.
+    target = tmp_path / "sub"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    monkeypatch.setattr(os.path, "isdir", lambda path: False)
+    assert run_cli(["sample", "--shots", "1", "--out", str(target)]) == 4
+    assert f"Is a directory: {str(target)!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_spectral_sweep_matches_per_angle_runs_on_random_grids(grid, mode):
     )
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=40), st.data())
+def test_one_angle_sweep_equals_that_angle_in_any_grid(grid, data):
+    i = data.draw(st.integers(0, len(grid) - 1))
+    for mode in FidelityMode:
+        (alone,) = fidelity_sweep([grid[i]], mode=mode)
+        inside = fidelity_sweep(grid, mode=mode)[i]
+        assert (alone.theta, alone.fidelity.hex()) == (inside.theta, inside.fidelity.hex())
+
+
 def test_sweep_at_max_steps_matches_per_angle_runs():
     grid = np.linspace(-math.pi, math.pi, 100_000)
     picked = np.random.default_rng(1009).choice(len(grid), 20, replace=False)
