@@ -206,9 +206,9 @@ def run_all_checks() -> list[Check]:
     eq("untouched_commutes", 0.0, _flip_commutator(oracle, d4_flip_index), 1e-12)
 
     # Robustness anchors.
-    rows = fidelity_sweep([0.0, 0.01, 0.1], mode=FidelityMode.POST_SELECTED_SUCCESS)
-    eq("sweep_fidelity_at_zero", 1.0, rows[0].fidelity, 1e-12)
-    ge("sweep_fidelity_at_0.01", 0.99, rows[1].fidelity)
-    le("sweep_decay", rows[1].fidelity, rows[2].fidelity)
+    fidelities = fidelity_sweep([0.0, 0.01, 0.1], mode=FidelityMode.POST_SELECTED_SUCCESS)
+    eq("sweep_fidelity_at_zero", 1.0, fidelities[0], 1e-12)
+    ge("sweep_fidelity_at_0.01", 0.99, fidelities[1])
+    le("sweep_decay", fidelities[1], fidelities[2])
 
     return checks

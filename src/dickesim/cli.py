@@ -197,7 +197,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
     between the exchange and the unlink can leave one ``.dickesim-*`` file,
     which holds the old content.
     """
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return
     if os.path.isdir(args.out):
@@ -372,10 +372,10 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for theta in (args.theta_min, args.theta_max):
             _check_angle(theta)
         grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-        rows = fidelity_sweep(grid, mode=FidelityMode(args.mode))
+        fidelities = fidelity_sweep(grid, mode=FidelityMode(args.mode))
     except ValueError as exc:
         parser.error(str(exc))
-    table = Table(("theta", "fidelity"), rows)
+    table = Table(("theta", "fidelity"), list(zip(grid.tolist(), fidelities.tolist())))
     _emit(args, {"rows": table}, table)
     return 0
 
@@ -395,17 +395,26 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _u64(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must fit in u64, got {text}")
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text!r}")
     return value
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("path must not be empty")
+    return text
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, handler: Callable[..., int]) -> None:
     # The handler reports usage errors through its own subcommand's parser.
     sub.set_defaults(handler=functools.partial(handler, parser=sub))
     sub.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
+    sub.add_argument("--out", type=_path, default=None, help="output file (default: stdout)")
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
@@ -472,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sweep, cmd_sweep)
 
     verify = subparsers.add_parser("verify", help="run the analytic check suite")
-    verify.add_argument("--out", default=None, help="output file (default: stdout)")
+    verify.add_argument("--out", type=_path, default=None, help="output file (default: stdout)")
     verify.set_defaults(handler=functools.partial(cmd_verify, parser=verify))
 
     return parser

@@ -9,6 +9,7 @@ an empty control tuple.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,14 +102,17 @@ class GateSpec:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        controls = tuple(int(c) for c in self.controls)
+        # operator.index takes ints and numpy integers and refuses floats.
+        controls = tuple(operator.index(c) for c in self.controls)
+        target = operator.index(self.target)
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "target", target)
         if len(set(controls)) != len(controls):
             raise ValueError(f"duplicate control qubits: {controls}")
-        if any(c < 0 for c in controls) or self.target < 0:
+        if any(c < 0 for c in controls) or target < 0:
             raise ValueError("qubit indices must be non-negative")
-        if self.target in controls:
-            raise ValueError(f"target qubit {self.target} is also a control")
+        if target in controls:
+            raise ValueError(f"target qubit {target} is also a control")
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError(f"target matrix must be 2x2, got {matrix.shape}")

@@ -37,11 +37,6 @@ class FidelityMode(enum.Enum):
     POST_SELECTED_SUCCESS = "post-selected"
 
 
-class SweepRow(NamedTuple):
-    theta: float
-    fidelity: float
-
-
 def _check_angle(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError("over-rotation angle must be finite")
@@ -193,13 +188,13 @@ def _expansion_fit() -> _ExpansionFit:
 def fidelity_sweep(
     theta_grid: Iterable[float],
     mode: FidelityMode = FidelityMode.POST_SELECTED_SUCCESS,
-) -> list[SweepRow]:
+) -> np.ndarray:
     """Fidelity of the noisy expansion against the ideal one, per grid angle.
 
     The input is always ``protocols.NOMINAL_INPUT``, D(4,2) with |00> ancillas.
     PRE_MEASUREMENT compares the full 6-qubit outputs; POST_SELECTED_SUCCESS
     compares the renormalized flag-0 branches. Both give fidelity 1 at
-    theta = 0. Rows follow the input grid order.
+    theta = 0. Returns one float64 array of fidelities in grid order.
 
     The kernel evolves 2D + 1 node states once per process, D the number
     of controlled gates, on the first call in either mode and whatever the
@@ -226,7 +221,8 @@ def fidelity_sweep(
     fit = _expansion_fit()
     # numpy multiplies a one-element array in its scalar loop, which rounds
     # differently from the vector loop of every longer array; a one-angle
-    # grid is evaluated twice over, so its angle gets the bits any grid gives it.
+    # grid is evaluated twice over, so its angle gets the bits any grid gives
+    # it, and the copy is sliced off.
     z = np.exp(0.5j * (thetas.repeat(2) if len(grid) == 1 else thetas))
     _check_norms(np.sqrt(_horner(fit.norm, z).real))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
@@ -242,4 +238,4 @@ def fidelity_sweep(
         probs = 1.0
         overlap = fit.overlap
     fidelities = np.abs(_horner(overlap, z)) ** 2 / probs
-    return [SweepRow(theta, fidelity) for theta, fidelity in zip(grid, fidelities.tolist())]
+    return fidelities[: len(grid)]

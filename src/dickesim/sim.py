@@ -117,18 +117,14 @@ def _check_norms(norms: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: |psi| = {worst!r}")
 
 
-def basis_index(bits: str) -> int:
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
-    return int(bits, 2)
-
-
 def new_basis_state(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, qubit 0 leftmost."""
     if len(bits) != n_qubits:
         raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
+    if not bits or any(b not in "01" for b in bits):
+        raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
     amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[basis_index(bits)] = 1.0
+    amps[int(bits, 2)] = 1.0
     amps.flags.writeable = False
     return StateVector(n_qubits, amps)
 
@@ -373,8 +369,9 @@ def purity(rho: np.ndarray) -> float:
 def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n matrix of one gate, assembled from Kronecker factors.
 
-    Independent of :func:`apply_gate`'s axis slicing, so the two paths
-    cross-check each other: the full matrix is I + (U - I)_target (x) P1_controls.
+    Independent of the :func:`_evolve` kernel that every circuit runs
+    through, so the two paths cross-check each other: the full matrix is
+    I + (U - I)_target (x) P1_controls.
     Each factor is ``np.kron``'s own definition, an outer product reshaped,
     without its per-call overhead.
     """

@@ -3,8 +3,9 @@ and a fixture that counts kernel work."""
 import numpy as np
 import pytest
 
-from dickesim import GateSpec, CircuitProgram, StateVector, make_gate
 from dickesim import noise, sim
+from dickesim.gates import CircuitProgram, GateSpec, make_gate
+from dickesim.sim import StateVector
 
 
 @pytest.fixture

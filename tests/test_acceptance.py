@@ -9,33 +9,36 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_named_circuit, random_state
-from dickesim import (
+from dickesim.dicke import (
     BipartitionParams,
-    FidelityMode,
-    apply_circuit,
-    build_d4_prep_circuit,
-    build_d4_to_d5_circuit,
-    build_w3_circuit,
-    build_w3_to_d4_circuit,
-    circuit_unitary,
     decompose_source,
     decompose_target,
     dicke_state,
-    expansion_premeasurement,
-    fidelity_pure,
     max_success_probability,
-    new_basis_state,
-    postselect,
-    run_expansion,
-    run_protocol_stats,
-    fidelity_sweep,
     verify_decomposition,
-    verify_untouched,
     w_state,
     wbar_state,
     wlike_state,
 )
-from dickesim.sim import StateVector
+from dickesim.noise import FidelityMode, fidelity_sweep
+from dickesim.protocols import (
+    build_d4_prep_circuit,
+    build_d4_to_d5_circuit,
+    build_w3_circuit,
+    build_w3_to_d4_circuit,
+    expansion_premeasurement,
+    run_expansion,
+    run_protocol_stats,
+    verify_untouched,
+)
+from dickesim.sim import (
+    StateVector,
+    apply_circuit,
+    circuit_unitary,
+    fidelity_pure,
+    new_basis_state,
+    postselect,
+)
 
 
 def report(name):
@@ -138,9 +141,10 @@ def test_criterion_7_monte_carlo_statistics():
 def test_criterion_8_robustness_anchors():
     """Fidelity sweep anchors in the pinned (post-selected) mode; the full
     101-point curve is produced as data."""
-    rows = fidelity_sweep(np.linspace(0.0, 0.1, 101), mode=FidelityMode.POST_SELECTED_SUCCESS)
-    assert len(rows) == 101
-    by_theta = {round(row.theta, 10): row.fidelity for row in rows}
+    grid = np.linspace(0.0, 0.1, 101)
+    fidelities = fidelity_sweep(grid, mode=FidelityMode.POST_SELECTED_SUCCESS)
+    assert len(fidelities) == 101
+    by_theta = {round(theta, 10): fidelity for theta, fidelity in zip(grid.tolist(), fidelities)}
     assert abs(by_theta[0.0] - 1.0) <= 1e-12
     assert by_theta[0.01] >= 0.99
     assert by_theta[0.1] <= by_theta[0.01]

@@ -4,8 +4,11 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,7 +417,8 @@ def flip_commutator_by_matmul(unitary):
 
 
 def test_untouched_commutes_fails_for_a_gate_on_d4(fresh_references, monkeypatch):
-    from dickesim import build_d4_to_d5_circuit, sim
+    from dickesim.protocols import build_d4_to_d5_circuit
+    from dickesim import sim
 
     refs = fresh_references._expansion_references()
     circuit = build_d4_to_d5_circuit()
@@ -582,6 +586,40 @@ def test_out_directory_is_refused_before_anything_is_written(tmp_path, argv, cap
     assert f"Is a directory: {str(target)!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
     assert not any(target.iterdir())
+
+
+_PAPER = ["--total", "4", "--excitations", "2", "--accessible", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prepare", "d4"], ["sample", "--shots", "1"], ["pmax", *_PAPER], ["decompose", *_PAPER],
+     ["sweep"], ["verify"]],
+    ids=["prepare", "sample", "pmax", "decompose", "sweep", "verify"],
+)
+def test_empty_out_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    # `--out "$F"` with an empty F must not fall back to stdout.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dickesim {argv[0]}: error: argument --out: path must not be empty" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "", "-1", str(1 << 64)])
+def test_seed_must_be_an_unsigned_64_bit_integer(seed, capsys):
+    assert run_cli(["sample", "--shots", "1", f"--seed={seed}"]) == 2
+    assert (
+        f"dickesim sample: error: argument --seed: seed must be an unsigned 64-bit integer, "
+        f"got {seed!r}" in capsys.readouterr().err
+    )
+
+
+def test_seed_accepts_the_whole_u64_range(capsys):
+    for seed in ("0", str((1 << 64) - 1)):
+        assert run_cli(["sample", "--shots", "1", "--seed", seed, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
 
 
 def _no_exchange(monkeypatch):
@@ -791,3 +829,17 @@ def test_repeat_calls_build_no_parser_and_no_circuit(argv, most_gates, monkeypat
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert "dickesim" in capsys.readouterr().out
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = (
+        "import sys, dickesim; print(dickesim.__version__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
+        "or m.startswith('dickesim.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.splitlines() == ["0.1.0", "[]"]

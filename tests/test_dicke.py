@@ -8,24 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import (
+from dickesim import dicke, gates
+from dickesim.dicke import (
     BipartitionParams,
     DecompositionTerm,
     DickeDecomposition,
-    StateVector,
-    apply_gate,
     decompose_source,
     decompose_target,
     dicke_state,
-    fidelity_pure,
     max_success_probability,
     verify_decomposition,
     w_state,
     wbar_state,
     wlike_state,
 )
-from dickesim import dicke, gates
-from dickesim.sim import NORM_ATOL
+from dickesim.sim import NORM_ATOL, StateVector, apply_gate, fidelity_pure
 
 
 def permute_qubits(state, permutation):

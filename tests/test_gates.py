@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import CircuitProgram, GateSpec, format_circuit, parse_circuit, rx_matrix, ry_matrix
 from dickesim import gates
+from dickesim.gates import (
+    CircuitProgram,
+    GateSpec,
+    format_circuit,
+    parse_circuit,
+    rx_matrix,
+    ry_matrix,
+)
 from dickesim.protocols import (
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
@@ -58,6 +65,23 @@ def test_gatespec_rejects_duplicate_controls():
 def test_gatespec_rejects_target_in_controls():
     with pytest.raises(ValueError, match="control"):
         GateSpec((1,), 1, gates.X_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "controls, target",
+    [((1.7,), 0), ((), 1.5), ((1.0,), 0), ((), np.float64(2.0)), (("1",), 0), ((), None)],
+    ids=["float-control", "float-target", "integral-float-control", "numpy-float-target",
+         "str-control", "no-target"],
+)
+def test_gatespec_rejects_non_integer_qubits(controls, target):
+    with pytest.raises(TypeError):
+        GateSpec(controls, target, gates.X_MATRIX)
+
+
+def test_gatespec_stores_numpy_integer_qubits_as_int():
+    gate = GateSpec((np.int64(2), np.uint8(1)), np.int32(0), gates.X_MATRIX)
+    assert gate.controls == (2, 1) and gate.target == 0
+    assert all(type(q) is int for q in gate.qubits)
 
 
 def test_gatespec_rejects_nonunitary_matrix():

@@ -7,24 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import (
-    EXPANSION_LAYOUT,
-    FidelityMode,
-    apply_circuit,
-    build_d4_to_d5_circuit,
-    dicke_state,
-    fidelity_pure,
-    fidelity_sweep,
-    new_basis_state,
-    noisify_circuit,
-    noisify_gate,
-    postselect,
-    rx_matrix,
-    tensor,
-)
 from dickesim import gates, noise, sim
 from dickesim.cli import Table
-from dickesim.gates import is_unitary
+from dickesim.dicke import dicke_state
+from dickesim.gates import is_unitary, rx_matrix
+from dickesim.noise import FidelityMode, fidelity_sweep, noisify_circuit, noisify_gate
+from dickesim.protocols import EXPANSION_LAYOUT, build_d4_to_d5_circuit
+from dickesim.sim import apply_circuit, fidelity_pure, new_basis_state, postselect, tensor
 
 
 def test_noisified_cnot_at_zero_is_ideal():
@@ -94,41 +83,43 @@ def test_repeated_noisification_accumulates_the_angle():
 
 def test_sweep_fidelity_at_zero_is_one():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.0], mode=mode)
-        assert rows[0].fidelity == pytest.approx(1.0, abs=1e-12)
+        fidelities = fidelity_sweep([0.0], mode=mode)
+        assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_anchor_at_0_01():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.01], mode=mode)
-        assert rows[0].fidelity >= 0.99
+        fidelities = fidelity_sweep([0.01], mode=mode)
+        assert fidelities[0] >= 0.99
 
 
 def test_sweep_decays_from_0_01_to_0_1():
     for mode in FidelityMode:
-        rows = fidelity_sweep([0.01, 0.1], mode=mode)
-        assert rows[1].fidelity <= rows[0].fidelity
+        fidelities = fidelity_sweep([0.01, 0.1], mode=mode)
+        assert fidelities[1] <= fidelities[0]
 
 
 def test_sweep_fidelity_ceiling():
     grid = [-math.pi, -1.0, -0.3, 0.3, 1.0, math.pi]
     for mode in FidelityMode:
-        for row in fidelity_sweep(grid, mode=mode):
-            assert 0.0 <= row.fidelity <= 1.0 + 1e-12
+        for fidelity in fidelity_sweep(grid, mode=mode):
+            assert 0.0 <= fidelity <= 1.0 + 1e-12
 
 
 def test_sweep_sign_symmetry_is_recorded_not_asserted():
     # the model makes no promise that F(theta) equals F(-theta); both values
     # are computed here and only the bounds are checked
-    rows = fidelity_sweep([0.05, -0.05])
-    for row in rows:
-        assert 0.0 <= row.fidelity <= 1.0 + 1e-12
+    fidelities = fidelity_sweep([0.05, -0.05])
+    for fidelity in fidelities:
+        assert 0.0 <= fidelity <= 1.0 + 1e-12
 
 
 def test_sweep_preserves_grid_order():
+    # one float64 fidelity per angle, each the value of that angle alone
     grid = [0.1, 0.0, 0.05]
-    rows = fidelity_sweep(grid)
-    assert [row.theta for row in rows] == grid
+    fidelities = fidelity_sweep(grid)
+    assert fidelities.dtype == np.float64 and fidelities.shape == (len(grid),)
+    assert fidelities.tolist() == [fidelity_sweep([theta])[0] for theta in grid]
 
 
 def test_sweep_rejects_empty_grid():
@@ -173,11 +164,9 @@ def seeded_grids():
 @pytest.mark.parametrize("mode", list(FidelityMode))
 def test_batched_sweep_matches_per_angle_runs(mode):
     for grid in seeded_grids():
-        rows = fidelity_sweep(grid, mode=mode)
-        assert [row.theta for row in rows] == grid
-        np.testing.assert_allclose(
-            [row.fidelity for row in rows], per_angle_sweep(grid, mode), rtol=0, atol=1e-14
-        )
+        fidelities = fidelity_sweep(grid, mode=mode)
+        assert len(fidelities) == len(grid)
+        np.testing.assert_allclose(fidelities, per_angle_sweep(grid, mode), rtol=0, atol=1e-14)
 
 
 @pytest.fixture
@@ -192,22 +181,20 @@ def fresh_fit():
 @pytest.mark.parametrize("chunk", [1, 7, 32, 1000])
 def test_sweep_does_not_depend_on_chunk_size(monkeypatch, fresh_fit, chunk):
     # chunks are not bit-identical to each other (a chunk's shape may change
-    # how its arithmetic is blocked), but the rows agree and so does the CSV
+    # how its arithmetic is blocked), but the fidelities agree and so does the CSV
     grid = np.linspace(-0.1, 0.1, 101)
     expected = {mode: fidelity_sweep(grid, mode=mode) for mode in FidelityMode}
     monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
     noise._expansion_fit.cache_clear()  # refit at this chunk size
     for mode in FidelityMode:
-        rows = fidelity_sweep(grid, mode=mode)
-        assert [row.theta for row in rows] == [row.theta for row in expected[mode]]
-        np.testing.assert_allclose(
-            [row.fidelity for row in rows],
-            [row.fidelity for row in expected[mode]],
-            rtol=0,
-            atol=1e-15,
-        )
+        fidelities = fidelity_sweep(grid, mode=mode)
+        assert len(fidelities) == len(expected[mode])
+        np.testing.assert_allclose(fidelities, expected[mode], rtol=0, atol=1e-15)
         columns = ("theta", "fidelity")
-        assert Table(columns, rows).csv() == Table(columns, expected[mode]).csv()
+        rows, expected_rows = (
+            list(zip(grid.tolist(), f.tolist())) for f in (fidelities, expected[mode])
+        )
+        assert Table(columns, rows).csv() == Table(columns, expected_rows).csv()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 3.5, -math.pi - 1e-9])
@@ -231,10 +218,8 @@ def test_sweep_rejects_a_bad_angle_anywhere_before_any_work(monkeypatch, bad, po
     st.sampled_from(list(FidelityMode)),
 )
 def test_spectral_sweep_matches_per_angle_runs_on_random_grids(grid, mode):
-    rows = fidelity_sweep(grid, mode=mode)
-    np.testing.assert_allclose(
-        [row.fidelity for row in rows], per_angle_sweep(grid, mode), rtol=0, atol=1e-14
-    )
+    fidelities = fidelity_sweep(grid, mode=mode)
+    np.testing.assert_allclose(fidelities, per_angle_sweep(grid, mode), rtol=0, atol=1e-14)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -244,17 +229,17 @@ def test_one_angle_sweep_equals_that_angle_in_any_grid(grid, data):
     for mode in FidelityMode:
         (alone,) = fidelity_sweep([grid[i]], mode=mode)
         inside = fidelity_sweep(grid, mode=mode)[i]
-        assert (alone.theta, alone.fidelity.hex()) == (inside.theta, inside.fidelity.hex())
+        assert alone.hex() == inside.hex()
 
 
 def test_sweep_at_max_steps_matches_per_angle_runs():
     grid = np.linspace(-math.pi, math.pi, 100_000)
     picked = np.random.default_rng(1009).choice(len(grid), 20, replace=False)
     for mode in FidelityMode:
-        rows = fidelity_sweep(grid, mode=mode)
-        assert len(rows) == len(grid)
+        fidelities = fidelity_sweep(grid, mode=mode)
+        assert len(fidelities) == len(grid)
         np.testing.assert_allclose(
-            [rows[i].fidelity for i in picked],
+            fidelities[picked],
             per_angle_sweep(grid[picked].tolist(), mode),
             rtol=0,
             atol=1e-14,
@@ -294,7 +279,7 @@ def test_fit_arrays_are_read_only():
 def test_warm_sweep_equals_cold_sweep(fresh_fit, mode):
     grid = np.linspace(-math.pi, math.pi, 226)
     cold = fidelity_sweep(grid, mode=mode)
-    assert fidelity_sweep(grid, mode=mode) == cold
+    assert fidelity_sweep(grid, mode=mode).tobytes() == cold.tobytes()
 
 
 def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypatch, fresh_fit):
@@ -322,7 +307,7 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
 
     noise._expansion_fit.cache_clear()
     monkeypatch.setattr(noise, "_fourier_coefficients", flag_one_only)
-    assert fidelity_sweep([0.05], mode=FidelityMode.PRE_MEASUREMENT)[0].fidelity == 0.0
+    assert fidelity_sweep([0.05], mode=FidelityMode.PRE_MEASUREMENT)[0] == 0.0
     with pytest.raises(ValueError, match="outcome 0 on qubit 5 has probability 0.0"):
         fidelity_sweep([0.05], mode=FidelityMode.POST_SELECTED_SUCCESS)
 

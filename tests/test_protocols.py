@@ -9,31 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
-from dickesim import (
+from dickesim import gates, protocols
+from dickesim.dicke import dicke_state, w_state, wlike_state
+from dickesim.gates import CircuitProgram
+from dickesim.protocols import (
     ExpansionOutcome,
-    StateVector,
-    apply_circuit,
-    apply_gate,
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
     build_w3_circuit,
     build_w3_to_d4_circuit,
-    circuit_unitary,
-    dicke_state,
     expansion_premeasurement,
-    fidelity_pure,
-    gate_unitary,
-    new_basis_state,
-    postselect,
     run_expansion,
     run_protocol_stats,
     run_recycling,
     verify_untouched,
-    w_state,
-    wlike_state,
 )
-from dickesim import gates, protocols
-from dickesim.gates import CircuitProgram
+from dickesim.sim import (
+    StateVector,
+    apply_circuit,
+    apply_gate,
+    circuit_unitary,
+    fidelity_pure,
+    gate_unitary,
+    new_basis_state,
+    postselect,
+)
 
 SQRT1_2 = 1 / math.sqrt(2)
 

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gate, random_named_circuit, random_state, random_unitary_2x2
-from dickesim import (
-    CircuitProgram,
+from dickesim import gates, sim
+from dickesim.dicke import dicke_state
+from dickesim.gates import CircuitProgram, GateSpec
+from dickesim.protocols import build_d4_to_d5_circuit
+from dickesim.sim import (
     StateVector,
+    _evolve,
     apply_circuit,
     apply_gate,
-    build_d4_to_d5_circuit,
     circuit_unitary,
     drop_qubit,
     fidelity_pure,
@@ -25,8 +28,6 @@ from dickesim import (
     reduced_density_matrix,
     tensor,
 )
-from dickesim import GateSpec, dicke_state, gates, sim
-from dickesim.sim import _evolve
 
 SQRT1_2 = 1 / math.sqrt(2)
 
