@@ -372,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for theta in (args.theta_min, args.theta_max):
             _check_angle(theta)
         grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-        fidelities = fidelity_sweep(grid, mode=FidelityMode(args.mode))
+        fidelities = fidelity_sweep(grid, mode=args.mode)
     except ValueError as exc:
         parser.error(str(exc))
     table = Table(("theta", "fidelity"), list(zip(grid.tolist(), fidelities.tolist())))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,10 +186,15 @@ def _expansion_fit() -> _ExpansionFit:
 
 
 def fidelity_sweep(
-    theta_grid: Iterable[float],
-    mode: FidelityMode = FidelityMode.POST_SELECTED_SUCCESS,
+    theta_grid: Sequence[float] | np.ndarray,
+    mode: FidelityMode | str = FidelityMode.POST_SELECTED_SUCCESS,
 ) -> np.ndarray:
     """Fidelity of the noisy expansion against the ideal one, per grid angle.
+
+    ``theta_grid`` is a nonempty sequence or 1-D array of angles, converted
+    once to float64; anything else raises ``ValueError``. ``mode`` is a
+    :class:`FidelityMode` or its string value; an unknown one raises
+    ``ValueError``.
 
     The input is always ``protocols.NOMINAL_INPUT``, D(4,2) with |00> ancillas.
     PRE_MEASUREMENT compares the full 6-qubit outputs; POST_SELECTED_SUCCESS
@@ -211,19 +216,21 @@ def fidelity_sweep(
     flag-0 probability at least ``IMPOSSIBLE_BRANCH``, with the messages of
     a one-angle run.
     """
-    grid = [float(t) for t in theta_grid]
-    if not grid:
+    mode = FidelityMode(mode)
+    thetas = np.asarray(theta_grid, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta grid must be one-dimensional, got shape {thetas.shape}")
+    if not thetas.size:
         raise ValueError("theta grid is empty")
-    thetas = np.array(grid)
     bad = ~(np.abs(thetas) <= math.pi)  # NaN fails the comparison too
     if bad.any():
-        _check_angle(grid[int(np.argmax(bad))])
+        _check_angle(float(thetas[int(np.argmax(bad))]))
     fit = _expansion_fit()
     # numpy multiplies a one-element array in its scalar loop, which rounds
     # differently from the vector loop of every longer array; a one-angle
     # grid is evaluated twice over, so its angle gets the bits any grid gives
     # it, and the copy is sliced off.
-    z = np.exp(0.5j * (thetas.repeat(2) if len(grid) == 1 else thetas))
+    z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
     _check_norms(np.sqrt(_horner(fit.norm, z).real))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
         probs = _horner(fit.branch_norm, z).real
@@ -238,4 +245,4 @@ def fidelity_sweep(
         probs = 1.0
         overlap = fit.overlap
     fidelities = np.abs(_horner(overlap, z)) ** 2 / probs
-    return fidelities[: len(grid)]
+    return fidelities[: thetas.size]

@@ -29,16 +29,7 @@ import numpy as np
 from . import gates
 from .dicke import dicke_state
 from .gates import CircuitProgram
-from .sim import (
-    StateVector,
-    apply_circuit,
-    drop_qubit,
-    new_basis_state,
-    postselect,
-    purity,
-    reduced_density_matrix,
-    tensor,
-)
+from .sim import StateVector, apply_circuit, new_basis_state, postselect, tensor
 
 # |0> -> sqrt(2/3)|0> + sqrt(1/3)|1> seeds the three-term superposition.
 W3_ROTATION_ANGLE = 2.0 * math.acos(1.0 / math.sqrt(3.0))
@@ -163,10 +154,12 @@ class ExpansionOutcome:
 
     ``probability`` is the Born probability of the selected flag outcome. On
     success (flag outcome 0) ``success_state`` holds the 5-qubit register
-    (d1, d2, d3, d4, a1). On failure ``remnant_state`` holds the recyclable
-    3-qubit state on (d1, d2, d3) and ``separated_state`` the pure factor on
-    (d4, a1); the purity fields witness that the factors really separate
-    (both are 1 up to rounding for the nominal Dicke input).
+    (d1, d2, d3, d4, a1). On failure the branch's Schmidt decomposition
+    across (d1, d2, d3) | (d4, a1) splits it: ``remnant_state`` is the
+    dominant Schmidt vector on (d1, d2, d3), the recyclable remnant, and
+    ``separated_state`` its partner on (d4, a1). ``purity`` is Tr(rho^2) of
+    either reduced state (a pure state's two reductions share a spectrum);
+    it is 1 when the factors separate, up to rounding for the nominal input.
     """
 
     success: bool
@@ -174,19 +167,15 @@ class ExpansionOutcome:
     success_state: StateVector | None = None
     remnant_state: StateVector | None = None
     separated_state: StateVector | None = None
-    remnant_purity: float | None = None
-    separated_purity: float | None = None
+    purity: float | None = None
 
 
-def _pure_factor(state: StateVector, keep: tuple[int, ...]) -> tuple[StateVector, float]:
-    """Dominant eigenvector of the reduced state on ``keep`` and its purity."""
-    rho = reduced_density_matrix(state, keep)
-    _, vectors = np.linalg.eigh(rho)
-    vec = vectors[:, -1]
+def _phase_anchored(vec: np.ndarray) -> StateVector:
+    """``vec`` as a state, its largest-magnitude amplitude made real positive."""
     anchor = int(np.argmax(np.abs(vec)))
     vec = vec * (abs(vec[anchor]) / vec[anchor])
     vec = vec / np.linalg.norm(vec)
-    return StateVector(len(keep), vec), purity(rho)
+    return StateVector(vec.size.bit_length() - 1, vec)
 
 
 def expansion_premeasurement(state: StateVector) -> StateVector:
@@ -215,18 +204,20 @@ def _expansion_branch(pre: StateVector, outcome: int) -> ExpansionOutcome:
     """
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
     probability, collapsed = postselect(pre, flag, outcome)
-    five = drop_qubit(collapsed, flag, outcome)
+    # The flag is the last qubit, so its branch is every other amplitude.
+    five = collapsed.amplitudes[outcome::2]
     if outcome == 0:
-        return ExpansionOutcome(success=True, probability=probability, success_state=five)
-    remnant, remnant_purity = _pure_factor(five, (0, 1, 2))
-    separated, separated_purity = _pure_factor(five, (3, 4))
+        return ExpansionOutcome(
+            success=True, probability=probability, success_state=StateVector(5, five)
+        )
+    # Rows index (d1, d2, d3), columns (d4, a1): five = sum_k s_k u_k (x) vh_k.
+    u, s, vh = np.linalg.svd(five.reshape(8, 4))
     return ExpansionOutcome(
         success=False,
         probability=probability,
-        remnant_state=remnant,
-        separated_state=separated,
-        remnant_purity=remnant_purity,
-        separated_purity=separated_purity,
+        remnant_state=_phase_anchored(u[:, 0]),
+        separated_state=_phase_anchored(vh[0]),
+        purity=float(np.sum(s**4)),
     )
 
 

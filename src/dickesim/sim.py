@@ -76,9 +76,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> (self.n_qubits - 1 - qubit)) & 1
-
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.n_qubits}b")
 
@@ -293,24 +290,18 @@ def apply_circuit(state: StateVector, circuit: CircuitProgram) -> StateVector:
     return _run(state, _circuit_steps(circuit))
 
 
-def _branch(state: StateVector, qubit: int, outcome: int) -> tuple[np.ndarray, tuple]:
-    """The ``(2,) * n`` view of ``state`` and the index of its branch
-    ``qubit == outcome``."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    return psi, _axis_index(state.n_qubits, [(qubit, outcome)])
-
-
 def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
     """Project onto ``qubit == outcome`` and renormalize.
 
     Returns ``(probability, collapsed_state)``. Raises if the branch
     probability is below the impossible-branch threshold.
     """
-    psi, branch = _branch(state, qubit, outcome)
+    if not 0 <= qubit < state.n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    branch = _axis_index(state.n_qubits, [(qubit, outcome)])
     prob = float(np.sum(np.abs(psi[branch]) ** 2))
     if prob < IMPOSSIBLE_BRANCH:
         raise ValueError(
@@ -322,48 +313,11 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
     return prob, StateVector(state.n_qubits, amps)
 
 
-def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    """Remove a qubit known to be exactly |outcome> (e.g. after postselect)."""
-    psi, kept = _branch(state, qubit, outcome)
-    other = psi[_axis_index(state.n_qubits, [(qubit, 1 - outcome)])]
-    leftover = float(np.max(np.abs(other), initial=0.0))
-    if leftover > 1e-9:
-        raise ValueError(
-            f"qubit {qubit} is not in |{outcome}>: residual amplitude {leftover!r}"
-        )
-    amps = psi[kept].flatten()
-    amps.flags.writeable = False
-    return StateVector(state.n_qubits - 1, amps)
-
-
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
     """Squared inner product |<a|b>|^2 of two pure states."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace down to the ``keep`` qubits, in the order given."""
-    keep = list(keep)
-    if not keep:
-        raise ValueError("must keep at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"kept qubits must be distinct: {keep}")
-    if any(not 0 <= q < state.n_qubits for q in keep):
-        raise ValueError(f"kept qubits {keep} out of range for {state.n_qubits} qubits")
-    tensor_view = state.amplitudes.reshape([2] * state.n_qubits)
-    tensor_view = np.moveaxis(tensor_view, keep, range(len(keep)))
-    mat = tensor_view.reshape(1 << len(keep), -1)
-    return mat @ mat.conj().T
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); equals 1 exactly iff rho is a pure state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    return float(np.trace(rho @ rho).real)
 
 
 def gate_unitary(gate: GateSpec, n_qubits: int) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_criterion_3_recyclable_branch():
     """Failure branch: W-like remnant on (d1,d2,d3), pure (d4,a1) factor."""
     outcome = run_expansion(dicke_state(4, 2), 1)
     assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
-    assert abs(outcome.separated_purity - 1.0) <= 1e-10
+    assert abs(outcome.purity - 1.0) <= 1e-10
     report("3 recyclable failure branch")
 
 

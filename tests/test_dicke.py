@@ -32,7 +32,7 @@ def permute_qubits(state, permutation):
     for index in range(1 << n):
         target = 0
         for q in range(n):
-            if state.bit(index, q):
+            if (index >> (n - 1 - q)) & 1:
                 target |= 1 << (n - 1 - permutation[q])
         amps[target] = state.amplitudes[index]
     return StateVector(n, amps)

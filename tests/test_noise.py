@@ -127,6 +127,33 @@ def test_sweep_rejects_empty_grid():
         fidelity_sweep([])
 
 
+def test_sweep_rejects_a_grid_that_is_not_one_dimensional():
+    for grid in (0.05, [[0.0, 0.05]], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fidelity_sweep(grid)
+
+
+def test_sweep_takes_a_list_or_an_array_alike():
+    # an array grid is read, not copied through a list, and left as it was;
+    # a bad angle is named as a plain float either way
+    grid = np.linspace(-0.1, 0.1, 7)
+    before = grid.tobytes()
+    for mode in FidelityMode:
+        from_array = fidelity_sweep(grid, mode=mode)
+        assert from_array.tobytes() == fidelity_sweep(grid.tolist(), mode=mode).tobytes()
+    assert grid.tobytes() == before
+    for bad in ([0.0, 4.0], np.array([0.0, 4.0]), np.array([0.0, 4.0], dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"^over-rotation angle 4\.0 outside"):
+            fidelity_sweep(bad)
+
+
+def test_sweep_mode_is_a_fidelity_mode_or_its_value():
+    grid = [0.0, 0.05, -0.1]
+    for mode in FidelityMode:
+        by_value = fidelity_sweep(grid, mode=mode.value)
+        assert by_value.tobytes() == fidelity_sweep(grid, mode=mode).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the batched sweep against one circuit run per angle
 
@@ -266,6 +293,12 @@ def test_kernel_runs_2d_plus_1_states_once_per_process_whatever_the_grid(
 def test_bad_angle_is_rejected_before_the_fit(fresh_fit):
     with pytest.raises(ValueError, match="over-rotation angle"):
         fidelity_sweep([0.0, math.nan])
+    assert noise._expansion_fit.cache_info().currsize == 0
+
+
+def test_bad_mode_is_rejected_before_the_fit(fresh_fit):
+    with pytest.raises(ValueError, match="'bogus' is not a valid FidelityMode"):
+        fidelity_sweep([0.0], mode="bogus")
     assert noise._expansion_fit.cache_info().currsize == 0
 
 

@@ -33,6 +33,7 @@ from dickesim.sim import (
     gate_unitary,
     new_basis_state,
     postselect,
+    tensor,
 )
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -222,10 +223,62 @@ def test_expansion_failure_branch():
     assert not outcome.success
     assert outcome.probability == pytest.approx(1 / 6, abs=1e-12)
     assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
-    assert outcome.remnant_purity == pytest.approx(1.0, abs=1e-10)
-    assert outcome.separated_purity == pytest.approx(1.0, abs=1e-10)
+    assert outcome.purity == pytest.approx(1.0, abs=1e-10)
     # d4 and the first ancilla come out in |00>
     np.testing.assert_allclose(outcome.separated_state.amplitudes, [1, 0, 0, 0], atol=1e-10)
+
+
+def _flag_branch(source, outcome):
+    """The normalized flag-``outcome`` branch of the expansion on (d1, d2, d3,
+    d4, a1), read off the pre-measurement state's flag axis."""
+    branch = expansion_premeasurement(source).amplitudes.reshape((2,) * 6)[..., outcome].ravel()
+    return branch / np.linalg.norm(branch)
+
+
+def _reduced_density_matrix(amplitudes, keep):
+    """Partial trace of a 5-qubit state down to the ``keep`` qubits, M M^dagger."""
+    view = np.moveaxis(amplitudes.reshape((2,) * 5), keep, range(len(keep)))
+    m = view.reshape(1 << len(keep), -1)
+    return m @ m.conj().T
+
+
+def test_success_state_is_the_flag_zero_axis():
+    rng = np.random.default_rng(2203)
+    for source in [dicke_state(4, 2)] + [random_state(rng, 4) for _ in range(3)]:
+        _, collapsed = postselect(expansion_premeasurement(source), 5, 0)
+        expected = collapsed.amplitudes.reshape((2,) * 6)[..., 0].ravel()
+        amplitudes = run_expansion(source, 0).success_state.amplitudes
+        assert amplitudes.tobytes() == expected.tobytes()
+        assert amplitudes.base is None and not amplitudes.flags.writeable
+
+
+def test_failure_split_matches_density_matrix_oracle():
+    # random inputs have entangled failure branches, so the Schmidt split
+    # is checked where it is not a plain product
+    rng = np.random.default_rng(2205)
+    gapped = 0
+    for _ in range(40):
+        source = random_state(rng, 4)
+        outcome = run_expansion(source, 1)
+        assert outcome.purity < 0.999
+        branch = _flag_branch(source, 1)
+        for keep, factor in (((0, 1, 2), outcome.remnant_state), ((3, 4), outcome.separated_state)):
+            rho = _reduced_density_matrix(branch, keep)
+            assert abs(np.trace(rho @ rho).real - outcome.purity) <= 1e-12
+            amplitudes = factor.amplitudes
+            anchor = amplitudes[np.argmax(np.abs(amplitudes))]
+            assert anchor.real > 0 and abs(anchor.imag) <= 1e-15
+            values, vectors = np.linalg.eigh(rho)
+            if values[-1] - values[-2] > 1e-6:
+                gapped += 1
+                assert abs(np.vdot(vectors[:, -1], amplitudes)) ** 2 >= 1 - 1e-12
+    assert gapped == 80
+
+
+def test_failure_factors_reproduce_the_nominal_branch():
+    outcome = run_expansion(dicke_state(4, 2), 1)
+    product = tensor(outcome.remnant_state, outcome.separated_state).amplitudes
+    np.testing.assert_allclose(product, _flag_branch(dicke_state(4, 2), 1), rtol=0, atol=1e-12)
 
 
 def test_run_expansion_equals_both_branches_of_one_evolved_state():

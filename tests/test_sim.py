@@ -1,4 +1,4 @@
-"""Statevector engine: gate application, branch selection, fidelity, reductions."""
+"""Statevector engine: gate application, branch selection, fidelity, matrix oracle."""
 import gc
 import math
 import weakref
@@ -19,13 +19,10 @@ from dickesim.sim import (
     apply_circuit,
     apply_gate,
     circuit_unitary,
-    drop_qubit,
     fidelity_pure,
     gate_unitary,
     new_basis_state,
     postselect,
-    purity,
-    reduced_density_matrix,
     tensor,
 )
 
@@ -220,8 +217,7 @@ def test_operations_return_read_only_amplitudes_of_their_own():
         (apply_circuit(a, circuit), (a,)),
         (postselect(a, 1, 0)[1], (a,)),
     ]
-    # qubit 0's branch is a contiguous view of the input; the others are not
-    results += [(drop_qubit(factor, q, int(bit)), (factor,)) for q, bit in enumerate("010")]
+    results += [(postselect(factor, q, int(bit))[1], (factor,)) for q, bit in enumerate("010")]
     for state, inputs in results:
         assert not state.amplitudes.flags.writeable
         assert StateVector(state.n_qubits, state.amplitudes).amplitudes is state.amplitudes
@@ -238,7 +234,7 @@ def test_operations_leave_their_input_states_unchanged():
     apply_gate(a, gates.ccnot(0, 1, 2))
     apply_circuit(a, circuit)
     postselect(a, 1, 0)
-    drop_qubit(c, 1, 1)
+    postselect(c, 1, 1)
     tensor(a, b)
     assert [s.amplitudes.tobytes() for s in inputs] == before
 
@@ -527,7 +523,7 @@ def test_control_locality_is_exact():
         state = random_state(rng, n)
         out = apply_gate(state, gate)
         for index in range(1 << n):
-            if all(state.bit(index, c) for c in gate.controls):
+            if all((index >> (n - 1 - c)) & 1 for c in gate.controls):
                 continue
             assert out.amplitudes[index] == state.amplitudes[index]
 
@@ -541,27 +537,18 @@ def test_postselect_impossible_branch():
         postselect(new_basis_state(1, "0"), 0, 1)
 
 
-@pytest.mark.parametrize("select", [postselect, drop_qubit])
-def test_branch_selection_rejects_bad_qubit_or_outcome(select):
+def test_postselect_rejects_bad_qubit_or_outcome():
     state = new_basis_state(2, "00")
     for qubit in (-1, 2):
         with pytest.raises(ValueError, match=f"qubit {qubit} out of range for 2 qubits"):
-            select(state, qubit, 0)
+            postselect(state, qubit, 0)
     for outcome in (-1, 2):
         with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {outcome}"):
-            select(state, 0, outcome)
-
-
-def test_drop_qubit_requires_pure_factor():
-    plus = apply_gate(new_basis_state(2, "00"), gates.h(0))
-    with pytest.raises(ValueError):
-        drop_qubit(plus, 0, 0)
-    dropped = drop_qubit(new_basis_state(2, "01"), 1, 1)
-    assert np.array_equal(dropped.amplitudes, [1, 0])
+            postselect(state, 0, outcome)
 
 
 def test_branch_selection_on_every_qubit():
-    # postselect and drop_qubit against bit arithmetic on the flat index
+    # postselect against bit arithmetic on the flat index
     rng = np.random.default_rng(17)
     for n in range(2, 7):
         for _ in range(3):
@@ -576,12 +563,6 @@ def test_branch_selection_on_every_qubit():
                     probability, collapsed = postselect(state, qubit, outcome)
                     assert probability == pytest.approx(prob, abs=1e-12)
                     np.testing.assert_allclose(collapsed.amplitudes, expected, atol=1e-12)
-                    dropped = drop_qubit(collapsed, qubit, outcome)
-                    assert dropped.n_qubits == n - 1
-                    for i in kept:
-                        low = i & ((1 << shift) - 1)
-                        j = ((i >> (shift + 1)) << shift) | low
-                        assert dropped.amplitudes[j] == collapsed.amplitudes[i]
 
 
 # ---------------------------------------------------------------------------
@@ -613,55 +594,6 @@ def test_fidelity_bounds_and_phase_invariance():
         rotated = StateVector(3, a.amplitudes * phase)
         assert fidelity_pure(rotated, b) == pytest.approx(f, abs=1e-12)
         assert fidelity_pure(b, a) == pytest.approx(f, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# reduced density matrices and purity
-
-
-def test_rdm_of_full_register_is_projector():
-    state = random_state(np.random.default_rng(8), 2)
-    rho = reduced_density_matrix(state, [0, 1])
-    expected = np.outer(state.amplitudes, state.amplitudes.conj())
-    np.testing.assert_allclose(rho, expected, atol=1e-14)
-    assert purity(rho) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_rdm_of_bell_state_is_maximally_mixed():
-    bell = apply_gate(
-        apply_gate(new_basis_state(2, "00"), gates.h(0)), gates.cnot(0, 1)
-    )
-    rho = reduced_density_matrix(bell, [0])
-    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
-    assert purity(rho) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_rdm_is_valid_density_matrix():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        state = random_state(rng, 5)
-        keep = sorted(rng.choice(5, size=int(rng.integers(1, 5)), replace=False))
-        rho = reduced_density_matrix(state, [int(q) for q in keep])
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(rho).min() >= -1e-10
-
-
-def test_rdm_invalid_indices():
-    state = new_basis_state(2, "00")
-    with pytest.raises(ValueError):
-        reduced_density_matrix(state, [])
-    with pytest.raises(ValueError):
-        reduced_density_matrix(state, [0, 0])
-    with pytest.raises(ValueError):
-        reduced_density_matrix(state, [2])
-
-
-def test_purity_of_pure_and_mixed():
-    assert purity(np.array([[1, 0], [0, 0]], dtype=complex)) == pytest.approx(1.0)
-    assert purity(np.eye(2) / 2) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        purity(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
