@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -195,13 +196,21 @@ def _write(args: argparse.Namespace, text: str) -> None:
     a fresh path, other systems and a refused exchange take ``os.replace``
     instead. Readers see the whole old file or the whole new one. A crash
     between the exchange and the unlink can leave one ``.dickesim-*`` file,
-    which holds the old content.
+    which holds the old content. A FIFO or a device at --out is written in place.
     """
     if args.out is None:
         sys.stdout.write(text)
         return
-    if os.path.isdir(args.out):
+    try:
+        mode = os.stat(args.out).st_mode
+    except OSError:  # a fresh path; the open below reports any other fault
+        mode = 0
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if mode and not stat.S_ISREG(mode):
+        with os.fdopen(os.open(args.out, os.O_WRONLY), "w") as handle:
+            handle.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(args.out))
     tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
     try:
@@ -219,7 +228,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
         try:
             os.unlink(tmp_path)
         except (IsADirectoryError, PermissionError):
-            # A directory appeared at --out after the isdir check: put it back.
+            # A directory appeared at --out after the stat: put it back.
             _exchange(tmp_path, args.out)
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out) from None
     except BaseException:
@@ -230,18 +239,17 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 def _parameters(args: argparse.Namespace) -> dict[str, Any]:
     """The subcommand's own arguments, as its run report records them."""
-    shared = ("command", "handler", "seed", "out", "format")
+    shared = ("command", "handler", "out", "format")
     return {k: v for k, v in vars(args).items() if k not in shared}
 
 
 def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
     """Write the run report for --format json, otherwise ``text``; only the
-    requested form is rendered. Identical command and seed reproduce the
+    requested form is rendered. An identical command line reproduces the
     report bit for bit."""
     if args.format == "json":
         report = {
             "command": args.command,
-            "seed": args.seed,
             "parameters": _parameters(args),
             "outputs": outputs,
             "tool_version": __version__,
@@ -413,7 +421,6 @@ def _path(text: str) -> str:
 def _add_common_flags(sub: argparse.ArgumentParser, handler: Callable[..., int]) -> None:
     # The handler reports usage errors through its own subcommand's parser.
     sub.set_defaults(handler=functools.partial(handler, parser=sub))
-    sub.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
     sub.add_argument("--out", type=_path, default=None, help="output file (default: stdout)")
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -459,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = subparsers.add_parser("sample", help="seeded shot sampling of the expansion")
     sample.add_argument("--shots", type=int, required=True)
+    sample.add_argument("--seed", type=_u64, default=0, help="RNG seed (unsigned)")
     _add_common_flags(sample, cmd_sample)
 
     pmax = subparsers.add_parser("pmax", help="exact maximum success probability")
@@ -488,7 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # A stray argument, such as --seed outside sample, gets its subcommand's usage.
+        args.handler.keywords["parser"].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except OSError as exc:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,6 +105,9 @@ class BipartitionParams:
     added_excitations: int = 0
 
     def __post_init__(self) -> None:
+        # operator.index takes ints and numpy integers and refuses floats.
+        for f in fields(self):
+            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
         if self.total < 1:
             raise ValueError("total qubit count must be positive")
         if not 0 <= self.excitations <= self.total:

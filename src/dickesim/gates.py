@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -256,12 +256,12 @@ def format_circuit(circuit: CircuitProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> CircuitProgram:
+def parse_circuit(text: str) -> CircuitProgram:
     """Parse the text format produced by :func:`format_circuit`.
 
-    The register is taken from the ``# qubits:`` header unless ``qubit_labels``
-    overrides it. A second header is an error, and so is a register that
-    :class:`CircuitProgram` rejects; errors from the header name its line.
+    The register is taken from the required ``# qubits:`` header. A second
+    header is an error, and so is a register that :class:`CircuitProgram`
+    rejects; errors from the header name its line.
     """
     header: list[str] | None = None
     header_lineno = 0
@@ -293,16 +293,13 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
                 raise ValueError(f"line {lineno}: {problem} key {key!r}")
             fields[key] = value
         raw_gates.append((lineno, parts[0], parts[1], fields))
-    labels = list(qubit_labels) if qubit_labels is not None else header
-    if labels is None:
-        raise ValueError("no '# qubits:' header and no qubit labels supplied")
-
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def to_index(lab: str) -> int:
-        if lab not in index:
-            raise ValueError(f"unknown qubit label {lab!r}")
-        return index[lab]
+    if header is None:
+        raise ValueError("no '# qubits:' header")
+    try:
+        register = CircuitProgram(len(header), (), tuple(header))
+    except ValueError as exc:
+        raise ValueError(f"line {header_lineno}: {exc}") from None
+    to_index = register.qubit_index
 
     gates = []
     for lineno, label, token, fields in raw_gates:
@@ -332,9 +329,4 @@ def parse_circuit(text: str, qubit_labels: Sequence[str] | None = None) -> Circu
             )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    try:
-        return CircuitProgram(len(labels), tuple(gates), tuple(labels))
-    except ValueError as exc:
-        if qubit_labels is not None:
-            raise
-        raise ValueError(f"line {header_lineno}: {exc}") from None
+    return CircuitProgram(register.n_qubits, tuple(gates), register.qubit_labels)

@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import sim
 from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
 from .protocols import EXPANSION_LAYOUT, NOMINAL_INPUT, build_d4_to_d5_circuit
 from .sim import (
@@ -97,20 +96,16 @@ def _fourier_coefficients(
     coefficient of ``z^m[r]``, taken with one FFT over the outputs at the
     2D + 1 node angles ``theta_k = 4 pi k / (2D + 1)``, which are internal and
     lie outside [-pi, pi] by design; ``ideal`` is the output at node
-    ``theta_0 = 0``, the noiseless run. The nodes run through the kernel
-    ``sim.BATCH_CHUNK`` at a time; their matrices and output states are
-    checked as in a one-angle run.
+    ``theta_0 = 0``, the noiseless run. All nodes run through the kernel in
+    one call; their matrices and output states are checked as in a one-angle
+    run.
     """
     n = source.n_qubits
     degree = sum(1 for gate in circuit.gates if gate.controls)
     nodes = 2 * degree + 1
     thetas = 4.0 * math.pi * np.arange(nodes) / nodes
-    shape = (nodes,) + (2,) * n
-    psi = np.broadcast_to(source.amplitudes.reshape(shape[1:]), shape).copy()
-    for start in range(0, nodes, sim.BATCH_CHUNK):
-        stop = start + sim.BATCH_CHUNK
-        _evolve(psi[start:stop], n, circuit.gates, _noisy_matrices(circuit, thetas[start:stop]))
-    psi = psi.reshape(nodes, -1)
+    psi = np.tile(source.amplitudes, (nodes, 1))
+    _evolve(psi.reshape((nodes,) + (2,) * n), n, circuit.gates, _noisy_matrices(circuit, thetas))
     _check_normalized(psi)
     m = (np.arange(nodes) + degree) % nodes - degree
     return m, np.fft.fft(psi, axis=0, norm="forward"), psi[0]
@@ -130,17 +125,12 @@ def _norm_polynomial(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     ``p[d]``, d = 0..2D, sums the Gram matrix entries ``<a_r|a_s>`` with
     ``m[s] - m[r] = d``, doubled for d > 0 to stand for their conjugate
-    mirror terms at -d. The Gram matrix is built a ``sim.BATCH_CHUNK`` of
-    rows at a time, so no full conjugate copy of ``a`` is live.
+    mirror terms at -d.
     """
-    gram = np.empty((len(a), len(a)), dtype=complex)
-    for start in range(0, len(a), sim.BATCH_CHUNK):
-        rows = slice(start, start + sim.BATCH_CHUNK)
-        gram[rows] = a[rows].conj() @ a.T
     lag = m[None, :] - m[:, None]
     upper = lag >= 0
     p = np.zeros(len(a), dtype=complex)
-    np.add.at(p, lag[upper], gram[upper])
+    np.add.at(p, lag[upper], (a.conj() @ a.T)[upper])
     p[1:] *= 2.0
     return p
 

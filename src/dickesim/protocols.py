@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,7 +272,9 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
     ``np.random.Generator(np.random.Philox(key=seed)).multinomial``: a pure
     function of (seed, shots), at a cost that does not grow with ``shots``.
     The distribution is computed once per process, on the first call.
+    ``shots`` must be an integer; a float raises ``TypeError``.
     """
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError("need at least one shot")
     pre, probs = _nominal_distribution()

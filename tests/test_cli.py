@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -152,7 +153,8 @@ def test_sample_json_report(capsys):
     assert run_cli(["sample", "--shots", "50", "--seed", "11", "--format", "json"]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    assert report["seed"] == 11
+    assert list(report) == ["command", "outputs", "parameters", "tool_version"]
+    assert report["parameters"] == {"seed": 11, "shots": 50}
     assert report["outputs"]["total_shots"] == 50
     assert sum(r["count"] for r in report["outputs"]["rows"]) == 50
 
@@ -561,6 +563,24 @@ def test_verify_rejects_format_and_seed(flag):
     assert run_cli(["verify", *flag]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "d4"],
+        ["pmax", "--total", "4", "--excitations", "2", "--accessible", "3"],
+        ["decompose", "--total", "4", "--excitations", "2", "--accessible", "3"],
+        ["sweep"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_a_usage_error_outside_sample(argv, capsys):
+    # sampling is the only random step, so no other subcommand takes a seed
+    assert run_cli([*argv, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dickesim {argv[0]} ")
+    assert err.endswith(f"dickesim {argv[0]}: error: unrecognized arguments: --seed 1\n")
+
+
 # ---------------------------------------------------------------------------
 # output files
 
@@ -620,7 +640,7 @@ def test_seed_must_be_an_unsigned_64_bit_integer(seed, capsys):
 def test_seed_accepts_the_whole_u64_range(capsys):
     for seed in ("0", str((1 << 64) - 1)):
         assert run_cli(["sample", "--shots", "1", "--seed", seed, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+        assert json.loads(capsys.readouterr().out)["parameters"]["seed"] == int(seed)
 
 
 def _no_exchange(monkeypatch):
@@ -695,17 +715,45 @@ def test_fresh_existing_and_fallback_outputs_match(tmp_path, monkeypatch):
 
 
 def test_directory_appearing_at_out_is_swapped_back(tmp_path, monkeypatch, capsys):
-    # A directory created at --out after the isdir check is exchanged like a
-    # file; the unlink then fails on it, and it goes back in place.
+    # A directory created at --out after the stat is exchanged like a file;
+    # the unlink then fails on it, and it goes back in place.
     target = tmp_path / "sub"
     target.mkdir()
     (target / "kept.txt").write_text("kept\n")
-    monkeypatch.setattr(os.path, "isdir", lambda path: False)
+    real_stat = os.stat
+
+    def stat_before_the_directory(path, *args, **kwargs):
+        if path == str(target):
+            raise FileNotFoundError(path)
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat_before_the_directory)
     assert run_cli(["sample", "--shots", "1", "--out", str(target)]) == 4
     assert f"Is a directory: {str(target)!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
     assert [p.name for p in target.iterdir()] == ["kept.txt"]
     assert (target / "kept.txt").read_text() == "kept\n"
+
+
+def test_out_fifo_is_written_not_replaced(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read())
+
+    # A daemon thread, so that a reader left blocked on a replaced FIFO
+    # cannot hang the test run.
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert run_cli(["pmax", *_PAPER, "--format", "json", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(Path(__file__).parent / "golden/pmax_json/stdout").read_bytes()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,20 @@ def test_params_validation():
 EXPANSION_CASE = dict(total=4, excitations=2, accessible=3, added=1, added_excitations=1)
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BipartitionParams)])
+@pytest.mark.parametrize("bad", [4.5, 1.0, "4"])
+def test_params_refuse_a_non_integer_field(field, bad):
+    # caught when built, not later inside math.comb
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        BipartitionParams(**{**EXPANSION_CASE, field: bad})
+
+
+def test_params_store_numpy_integers_as_int():
+    params = BipartitionParams(**{k: np.int64(v) for k, v in EXPANSION_CASE.items()})
+    assert params == BipartitionParams(**EXPANSION_CASE)
+    assert all(type(getattr(params, k)) is int for k in EXPANSION_CASE)
+
+
 # ---------------------------------------------------------------------------
 # decompositions
 

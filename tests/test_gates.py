@@ -167,12 +167,6 @@ def test_format_lines_shape():
     assert lines[-1] == "P5 X c=- t=w1"
 
 
-def test_parse_with_explicit_labels():
-    parsed = parse_circuit("- CNOT c=a t=b\n", qubit_labels=("a", "b"))
-    assert parsed.gates[0].controls == (0,)
-    assert parsed.gates[0].target == 1
-
-
 def test_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_circuit("- X c=- t=a\n")
@@ -206,15 +200,6 @@ def test_parse_errors():
 def test_parse_header_errors_name_the_header_line(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_circuit(text)
-
-
-def test_explicit_labels_override_the_header():
-    parsed = parse_circuit("# qubits: a,a\n- X c=- t=c\n", qubit_labels=("c", "d"))
-    assert parsed.qubit_labels == ("c", "d")
-    assert parsed.gates[0].target == 0
-    # the explicit labels come from no line, so their errors name none
-    with pytest.raises(ValueError, match="^qubit labels must be distinct$"):
-        parse_circuit("# qubits: a,b\n", qubit_labels=("c", "c"))
 
 
 def writable_qubit_label(label):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import gates, noise, sim
-from dickesim.cli import Table
 from dickesim.dicke import dicke_state
 from dickesim.gates import is_unitary, rx_matrix
 from dickesim.noise import FidelityMode, fidelity_sweep, noisify_circuit, noisify_gate
@@ -205,29 +204,10 @@ def fresh_fit():
     noise._expansion_fit.cache_clear()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 32, 1000])
-def test_sweep_does_not_depend_on_chunk_size(monkeypatch, fresh_fit, chunk):
-    # chunks are not bit-identical to each other (a chunk's shape may change
-    # how its arithmetic is blocked), but the fidelities agree and so does the CSV
-    grid = np.linspace(-0.1, 0.1, 101)
-    expected = {mode: fidelity_sweep(grid, mode=mode) for mode in FidelityMode}
-    monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
-    noise._expansion_fit.cache_clear()  # refit at this chunk size
-    for mode in FidelityMode:
-        fidelities = fidelity_sweep(grid, mode=mode)
-        assert len(fidelities) == len(expected[mode])
-        np.testing.assert_allclose(fidelities, expected[mode], rtol=0, atol=1e-15)
-        columns = ("theta", "fidelity")
-        rows, expected_rows = (
-            list(zip(grid.tolist(), f.tolist())) for f in (fidelities, expected[mode])
-        )
-        assert Table(columns, rows).csv() == Table(columns, expected_rows).csv()
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 3.5, -math.pi - 1e-9])
 @pytest.mark.parametrize("position", [0, 20, 99])
 def test_sweep_rejects_a_bad_angle_anywhere_before_any_work(monkeypatch, bad, position):
-    # position 99 lies in the last chunk; no chunk may run before the check
+    # position 99 is the grid's last angle; no kernel call may run before the check
     grid = np.linspace(-0.1, 0.1, 100).tolist()
     grid[position] = bad
 

@@ -378,6 +378,14 @@ def test_stats_rejects_zero_shots():
         run_protocol_stats(0, seed=1)
 
 
+def test_stats_refuse_a_fractional_shot_count():
+    # a fractional count would make the estimate successes / 10.5
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run_protocol_stats(10.5, seed=1)
+    stats = run_protocol_stats(np.int64(10), seed=1)
+    assert type(stats.shots) is int and stats == run_protocol_stats(10, seed=1)
+
+
 def test_stats_flag_convention_and_support():
     stats = run_protocol_stats(4000, seed=7)
     pre = expansion_premeasurement(dicke_state(4, 2))
