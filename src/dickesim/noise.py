@@ -181,8 +181,9 @@ def fidelity_sweep(
 ) -> np.ndarray:
     """Fidelity of the noisy expansion against the ideal one, per grid angle.
 
-    ``theta_grid`` is a nonempty sequence or 1-D array of angles, converted
-    once to float64; anything else raises ``ValueError``. ``mode`` is a
+    ``theta_grid`` is a nonempty sequence or 1-D array of integer or float
+    angles, converted once to float64; anything else, such as a complex,
+    bool or string grid, raises ``ValueError``. ``mode`` is a
     :class:`FidelityMode` or its string value; an unknown one raises
     ``ValueError``.
 
@@ -207,7 +208,10 @@ def fidelity_sweep(
     a one-angle run.
     """
     mode = FidelityMode(mode)
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = np.asarray(theta_grid)
+    if thetas.dtype.kind not in "iuf":
+        raise ValueError(f"theta grid must hold real numbers, got dtype {thetas.dtype}")
+    thetas = thetas.astype(float, copy=False)
     if thetas.ndim != 1:
         raise ValueError(f"theta grid must be one-dimensional, got shape {thetas.shape}")
     if not thetas.size:

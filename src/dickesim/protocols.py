@@ -272,11 +272,14 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
     ``np.random.Generator(np.random.Philox(key=seed)).multinomial``: a pure
     function of (seed, shots), at a cost that does not grow with ``shots``.
     The distribution is computed once per process, on the first call.
-    ``shots`` must be an integer; a float raises ``TypeError``.
+    ``shots`` and ``seed`` must be integers; a float raises ``TypeError``.
+    ``seed`` must lie in [0, 2**128), the range of a Philox key.
     """
-    shots = operator.index(shots)
+    shots, seed = operator.index(shots), operator.index(seed)
     if shots < 1:
         raise ValueError("need at least one shot")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
     pre, probs = _nominal_distribution()
     totals = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, probs)
     counts = {pre.bitstring(int(i)): int(totals[i]) for i in np.flatnonzero(totals)}

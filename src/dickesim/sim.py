@@ -30,9 +30,6 @@ NORM_ATOL = 1e-12
 IMPOSSIBLE_BRANCH = 1e-15
 # The full-matrix oracle materializes 4^n complex entries.
 UNITARY_ORACLE_MAX_QUBITS = 12
-# The oracle check's basis columns run through the kernel this many at a
-# time, so its peak memory does not grow with the number of columns.
-BATCH_CHUNK = 16
 # The kernel applies a gate in blocks of at most this many amplitudes per
 # slice (256 KiB of complex128), so a block's two slices and the temporaries
 # of its update fit in one core's 2 MiB L2 cache.

@@ -355,9 +355,9 @@ def test_verify_reports_failures_with_exit_code_3(capsys, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_oracle_check_passes_at_any_chunk_size(monkeypatch, chunk):
     # 7 does not divide the 64 basis columns, so the last chunk is shorter
-    from dickesim import checks, sim
+    from dickesim import checks
 
-    monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+    monkeypatch.setattr(checks, "BATCH_CHUNK", chunk)
     oracle = {check.name: check for check in checks.run_all_checks()}["oracle_equivalence"]
     assert oracle.passed
 
@@ -402,9 +402,9 @@ def test_references_are_read_only(fresh_references):
     refs = fresh_references._expansion_references()
     # the flips run as one fused permutation, itself a read-only index table
     (fused,) = sim._circuit_steps(refs.recycling_flips)
-    arrays = [refs.oracle, refs.d4_flip_index, fused]
+    arrays = [refs.oracle, fused]
     arrays += [flip.matrix for flip in refs.recycling_flips.gates]
-    assert len(arrays) == 6
+    assert len(arrays) == 5
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
@@ -419,60 +419,18 @@ def flip_commutator_by_matmul(unitary):
 
 
 def test_untouched_commutes_fails_for_a_gate_on_d4(fresh_references, monkeypatch):
-    from dickesim.protocols import build_d4_to_d5_circuit
     from dickesim import sim
 
-    refs = fresh_references._expansion_references()
-    circuit = build_d4_to_d5_circuit()
+    circuit = fresh_references.build_d4_to_d5_circuit()
     touched = gates.CircuitProgram(6, circuit.gates + (gates.h(3),), circuit.qubit_labels)
-    unitary = sim.circuit_unitary(touched)
-    commutator = fresh_references._flip_commutator(unitary, refs.d4_flip_index)
+    monkeypatch.setattr(fresh_references, "build_d4_to_d5_circuit", lambda: touched)
+    fresh_references._expansion_references.cache_clear()
+    commutator = fresh_references._expansion_references().d4_commutator
     assert commutator > 0.5
-    assert commutator == flip_commutator_by_matmul(unitary)
-    monkeypatch.setattr(
-        fresh_references, "_expansion_references", lambda: refs._replace(oracle=unitary)
-    )
+    assert commutator == flip_commutator_by_matmul(sim.circuit_unitary(touched))
     by_name = {check.name: check for check in fresh_references.run_all_checks()}
     assert by_name["untouched_commutes"].actual == commutator
     assert not by_name["untouched_commutes"].passed
-
-
-def test_flip_commutator_equals_the_dense_products_bit_for_bit(fresh_references):
-    from conftest import random_named_circuit
-    from dickesim import sim
-
-    index = fresh_references._expansion_references().d4_flip_index
-    rng = np.random.default_rng(1906)
-    values = []
-    for size in (1, 4, 12, 30):
-        for _ in range(5):
-            unitary = sim.circuit_unitary(random_named_circuit(rng, 6, size))
-            values.append(fresh_references._flip_commutator(unitary, index))
-            assert values[-1] == flip_commutator_by_matmul(unitary)
-    assert min(values) == 0.0 and max(values) > 0.5  # some leave d4 alone
-
-
-@pytest.mark.parametrize("flip", ["hadamard", "cycle", "negated"])
-def test_references_reject_a_flip_that_is_not_a_symmetric_permutation(
-    fresh_references, monkeypatch, flip
-):
-    from dickesim import sim
-
-    original = sim.gate_unitary
-
-    def replaced(gate, n_qubits):
-        matrix = original(gate, n_qubits)
-        if gate.target != 3:  # the circuit's own gates never touch d4
-            return matrix
-        if flip == "hadamard":
-            return original(gates.h(3), n_qubits)
-        if flip == "cycle":  # a permutation, but not its own inverse
-            return np.roll(np.eye(1 << n_qubits, dtype=complex), 1, axis=1)
-        return -matrix
-
-    monkeypatch.setattr(sim, "gate_unitary", replaced)
-    with pytest.raises(ValueError, match="the flip on d4 is not a symmetric permutation matrix"):
-        fresh_references._expansion_references()
 
 
 def test_warm_checks_evolve_each_state_once(fresh_references, monkeypatch):
@@ -510,6 +468,21 @@ def test_warm_checks_evolve_each_state_once(fresh_references, monkeypatch):
 def test_warm_checks_equal_cold_checks(fresh_references):
     cold = fresh_references.run_all_checks()
     assert fresh_references.run_all_checks() == cold
+
+
+def test_warm_checks_peak_memory_stays_small(fresh_references):
+    # the commutator is a reference, so a warm call allocates only its
+    # states and one chunk of oracle columns (about 62 KiB)
+    import tracemalloc
+
+    fresh_references.run_all_checks()
+    tracemalloc.start()
+    try:
+        fresh_references.run_all_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 1024
 
 
 def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):

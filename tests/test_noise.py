@@ -132,6 +132,29 @@ def test_sweep_rejects_a_grid_that_is_not_one_dimensional():
             fidelity_sweep(grid)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.array([0.05 + 0.02j, 0.01]),  # was read as its real part
+        [0.05 + 0j],
+        [True, False],  # was read as 1 rad and 0 rad
+        ["0.05"],  # was parsed as a float
+    ],
+)
+def test_sweep_rejects_a_grid_that_is_not_real(grid):
+    with pytest.raises(ValueError, match="^theta grid must hold real numbers, got dtype "):
+        fidelity_sweep(grid)
+
+
+def test_sweep_reads_integer_and_float_grids_alike():
+    for mode in FidelityMode:
+        by_float = fidelity_sweep([0.0, 1.0, 3.0], mode=mode).tobytes()
+        for dtype in (int, np.int8, np.uint16):
+            grid = np.array([0, 1, 3], dtype=dtype)
+            assert fidelity_sweep(grid.tolist(), mode=mode).tobytes() == by_float
+            assert fidelity_sweep(grid, mode=mode).tobytes() == by_float
+
+
 def test_sweep_takes_a_list_or_an_array_alike():
     # an array grid is read, not copied through a list, and left as it was;
     # a bad angle is named as a plain float either way

@@ -386,6 +386,28 @@ def test_stats_refuse_a_fractional_shot_count():
     assert type(stats.shots) is int and stats == run_protocol_stats(10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (1.5, TypeError, "cannot be interpreted as an integer"),
+        ("7", TypeError, "cannot be interpreted as an integer"),
+        (-1, ValueError, r"^seed must be an integer in \[0, 2\*\*128\), got -1$"),
+        (2**128, ValueError, rf"^seed must be an integer in \[0, 2\*\*128\), got {2**128}$"),
+    ],
+    ids=["float", "str", "negative", "2**128"],
+)
+def test_stats_refuse_a_seed_that_is_not_a_philox_key(seed, error, message):
+    # a float or string seed was read as the integer it names
+    with pytest.raises(error, match=message):
+        run_protocol_stats(1000, seed=seed)
+
+
+def test_stats_take_every_seed_in_the_philox_key_range():
+    assert run_protocol_stats(10, seed=np.uint64(7)) == run_protocol_stats(10, seed=7)
+    for seed in (0, 2**128 - 1):
+        assert run_protocol_stats(10, seed=seed).shots == 10
+
+
 def test_stats_flag_convention_and_support():
     stats = run_protocol_stats(4000, seed=7)
     pre = expansion_premeasurement(dicke_state(4, 2))
