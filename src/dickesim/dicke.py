@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .gates import _index
 from .sim import StateVector
 
 DECOMPOSITION_ATOL = 1e-12
@@ -26,6 +26,7 @@ DECOMPOSITION_ATOL = 1e-12
 
 def dicke_state(n: int, k: int) -> StateVector:
     """Equal superposition of all n-qubit basis strings with exactly k ones."""
+    n, k = _index(n), _index(k)
     if n < 1:
         raise ValueError("need at least one qubit")
     if not 0 <= k <= n:
@@ -105,9 +106,8 @@ class BipartitionParams:
     added_excitations: int = 0
 
     def __post_init__(self) -> None:
-        # operator.index takes ints and numpy integers and refuses floats.
         for f in fields(self):
-            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
+            object.__setattr__(self, f.name, _index(getattr(self, f.name)))
         if self.total < 1:
             raise ValueError("total qubit count must be positive")
         if not 0 <= self.excitations <= self.total:

@@ -25,6 +25,14 @@ H_MATRIX.flags.writeable = False
 X_MATRIX.flags.writeable = False
 
 
+def _index(value) -> int:
+    """``operator.index(value)``: takes ints and numpy integers and refuses
+    floats, and refuses ``bool`` and ``numpy.bool_`` too."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def rx_matrix(theta: float) -> np.ndarray:
     """Rotation by ``theta`` radians about the X axis of the Bloch sphere.
 
@@ -102,9 +110,8 @@ class GateSpec:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        # operator.index takes ints and numpy integers and refuses floats.
-        controls = tuple(operator.index(c) for c in self.controls)
-        target = operator.index(self.target)
+        controls = tuple(_index(c) for c in self.controls)
+        target = _index(self.target)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "target", target)
         if len(set(controls)) != len(controls):
@@ -151,7 +158,6 @@ def make_gate(
     label: str = "",
 ) -> GateSpec:
     """Build a gate from a target-operation mnemonic ("H", "X", "RX", "RY")."""
-    name = name.upper()
     matrix = _named_matrix(name, theta)
     return GateSpec(tuple(controls), target, matrix, label=label, name=name, theta=theta)
 
@@ -257,76 +263,60 @@ def format_circuit(circuit: CircuitProgram) -> str:
 
 
 def parse_circuit(text: str) -> CircuitProgram:
-    """Parse the text format produced by :func:`format_circuit`.
+    """Parse the text format produced by :func:`format_circuit`, in one pass.
 
-    The register is taken from the required ``# qubits:`` header. A second
-    header is an error, and so is a register that :class:`CircuitProgram`
-    rejects; errors from the header name its line.
+    The required ``# qubits:`` header names the register and must come before
+    the first gate line; a second header is an error, and so is a register
+    that :class:`CircuitProgram` rejects. Every error from a line, header or
+    gate, starts with ``line N: ``.
     """
-    header: list[str] | None = None
+    register: CircuitProgram | None = None
     header_lineno = 0
-    raw_gates: list[tuple[int, str, str, dict[str, str]]] = []
+    gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("qubits:"):
-                if header is not None:
-                    raise ValueError(
-                        f"line {lineno}: repeated '# qubits:' header, first on line {header_lineno}"
-                    )
-                header = [s.strip() for s in body.split(":", 1)[1].split(",") if s.strip()]
-                header_lineno = lineno
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: malformed gate line {line!r}")
-        fields = {}
-        for part in parts[2:]:
-            if "=" not in part:
-                raise ValueError(f"line {lineno}: expected key=value, got {part!r}")
-            key, value = part.split("=", 1)
-            if key in fields or key not in ("c", "t", "theta"):
-                problem = "repeated" if key in fields else "unknown"
-                raise ValueError(f"line {lineno}: {problem} key {key!r}")
-            fields[key] = value
-        raw_gates.append((lineno, parts[0], parts[1], fields))
-    if header is None:
-        raise ValueError("no '# qubits:' header")
-    try:
-        register = CircuitProgram(len(header), (), tuple(header))
-    except ValueError as exc:
-        raise ValueError(f"line {header_lineno}: {exc}") from None
-    to_index = register.qubit_index
-
-    gates = []
-    for lineno, label, token, fields in raw_gates:
         try:
-            base = token
-            n_controls = 0
-            while base not in _BASE_NAMES and base.startswith("C"):
-                base = base[1:]
-                n_controls += 1
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("qubits:"):
+                    if register is not None:
+                        raise ValueError(f"repeated '# qubits:' header, first on line {header_lineno}")
+                    labels = tuple(s.strip() for s in body.split(":", 1)[1].split(",") if s.strip())
+                    register = CircuitProgram(len(labels), (), labels)
+                    header_lineno = lineno
+                continue
+            if register is None:
+                raise ValueError("gate line before the '# qubits:' header")
+            parts = line.split()
+            if len(parts) < 3:
+                raise ValueError(f"malformed gate line {line!r}")
+            fields = {}
+            for key, eq, value in (part.partition("=") for part in parts[2:]):
+                if not eq:
+                    raise ValueError(f"expected key=value, got {key!r}")
+                if key in fields or key not in ("c", "t", "theta"):
+                    problem = "repeated" if key in fields else "unknown"
+                    raise ValueError(f"{problem} key {key!r}")
+                fields[key] = value
+            label, token = parts[:2]
+            base = token.lstrip("C")
             if base not in _BASE_NAMES:
                 raise ValueError(f"unknown gate token {token!r}")
-            ctl_field = fields.get("c", "-")
-            controls = tuple(to_index(c) for c in ctl_field.split(",")) if ctl_field != "-" else ()
+            n_controls = len(token) - len(base)
+            ctl = fields.get("c", "-")
+            controls = tuple(map(register.qubit_index, ctl.split(","))) if ctl != "-" else ()
             if len(controls) != n_controls:
                 raise ValueError(f"gate {token!r} expects {n_controls} controls, got {len(controls)}")
             if "t" not in fields:
                 raise ValueError(f"gate line for {token!r} is missing t=")
             theta = float(fields["theta"]) if "theta" in fields else None
-            gates.append(
-                make_gate(
-                    _BASE_NAMES[base],
-                    controls,
-                    to_index(fields["t"]),
-                    theta=theta,
-                    label="" if label == "-" else label,
-                )
-            )
+            target = register.qubit_index(fields["t"])
+            label = "" if label == "-" else label
+            gates.append(make_gate(_BASE_NAMES[base], controls, target, theta, label))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+    if register is None:
+        raise ValueError("no '# qubits:' header")
     return CircuitProgram(register.n_qubits, tuple(gates), register.qubit_labels)

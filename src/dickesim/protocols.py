@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gates
 from .dicke import dicke_state
-from .gates import CircuitProgram
+from .gates import CircuitProgram, _index
 from .sim import StateVector, apply_circuit, new_basis_state, postselect, tensor
 
 # |0> -> sqrt(2/3)|0> + sqrt(1/3)|1> seeds the three-term superposition.
@@ -272,10 +271,10 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
     ``np.random.Generator(np.random.Philox(key=seed)).multinomial``: a pure
     function of (seed, shots), at a cost that does not grow with ``shots``.
     The distribution is computed once per process, on the first call.
-    ``shots`` and ``seed`` must be integers; a float raises ``TypeError``.
+    ``shots`` and ``seed`` must be integers; a float or bool raises ``TypeError``.
     ``seed`` must lie in [0, 2**128), the range of a Philox key.
     """
-    shots, seed = operator.index(shots), operator.index(seed)
+    shots, seed = _index(shots), _index(seed)
     if shots < 1:
         raise ValueError("need at least one shot")
     if not 0 <= seed < 1 << 128:

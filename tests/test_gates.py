@@ -1,6 +1,7 @@
 """Gate records, rotation matrices, and the circuit text format."""
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import gates
+from dickesim.dicke import BipartitionParams, dicke_state
 from dickesim.gates import (
     CircuitProgram,
     GateSpec,
@@ -20,7 +22,10 @@ from dickesim.protocols import (
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
     build_w3_circuit,
+    run_protocol_stats,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_rx_at_zero_is_identity():
@@ -123,6 +128,31 @@ def test_make_gate_angle_rules():
         gates.make_gate("RY", (), 0)
     with pytest.raises(ValueError, match="unknown gate"):
         gates.make_gate("SWAP", (), 0)
+    with pytest.raises(ValueError, match="^unknown gate name 'h'$"):
+        gates.make_gate("h", (), 0)
+
+
+# Each entry point validates its integer arguments with gates._index: a call
+# with two arguments, and two values that it accepts.
+INTEGER_ENTRY_POINTS = {
+    "GateSpec": (lambda a, b: GateSpec((a,), b, gates.X_MATRIX).qubits, (0, 1)),
+    "BipartitionParams": (lambda a, b: BipartitionParams(4, 2, 3, a, b).added, (1, 1)),
+    "run_protocol_stats": (lambda a, b: run_protocol_stats(a, b).shots, (1, 1)),
+    "dicke_state": (lambda a, b: dicke_state(a, b).n_qubits, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_arguments_refuse_bool_and_float(entry):
+    call, good = INTEGER_ENTRY_POINTS[entry]
+    expected = call(*good)
+    # numpy integers are stored as int: numpy 2 reprs np.int64(1) as "np.int64(1)".
+    assert repr(call(np.int64(good[0]), np.uint8(good[1]))) == repr(expected)
+    for bad in (True, False, np.True_, 1.0, 4.5):
+        with pytest.raises(TypeError):
+            call(bad, good[1])
+        with pytest.raises(TypeError):
+            call(good[0], bad)
 
 
 def test_circuit_rejects_out_of_range_gate():
@@ -156,6 +186,12 @@ def test_text_format_round_trip(builder):
         assert back.controls == original.controls
         assert back.target == original.target
         np.testing.assert_array_equal(back.matrix, original.matrix)
+
+
+@pytest.mark.parametrize("case", ["prepare_w3_circuit_csv", "prepare_d4_circuit_csv"])
+def test_published_circuit_text_round_trips_byte_for_byte(case):
+    text = (GOLDEN / case / "stdout").read_text()
+    assert format_circuit(parse_circuit(text)) == text
 
 
 def test_format_lines_shape():
@@ -194,8 +230,9 @@ def test_parse_errors():
         ("# qubits: a,a\n- X c=- t=a\n", "line 1: qubit labels must be distinct"),
         ("# note\n\n# qubits: a,a\n", "line 3: qubit labels must be distinct"),
         ("# qubits:\n", "line 1: circuit needs at least one qubit"),
+        ("- X c=- t=a\n# qubits: a\n", "line 1: gate line before the '# qubits:' header"),
     ],
-    ids=["repeated", "duplicate-labels", "after-comments", "empty"],
+    ids=["repeated", "duplicate-labels", "after-comments", "empty", "gate-before-header"],
 )
 def test_parse_header_errors_name_the_header_line(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -273,7 +310,7 @@ MALFORMATIONS = {
 def test_parse_rejects_malformed_gate_lines(kind):
     line = "G1 CNOT c=a t=b"
     assert parse_circuit(f"# qubits: a,b\n{line}\n").gates[0].controls == (0,)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 2: "):
         parse_circuit(f"# qubits: a,b\n{MALFORMATIONS[kind](line)}\n")
 
 
@@ -282,8 +319,31 @@ def test_parse_rejects_malformed_gate_lines(kind):
 def test_parse_raises_only_value_error_on_any_gate_line(line):
     try:
         parse_circuit("# qubits: a,b,c\n" + line)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(exc).startswith("line "), exc
+
+
+# Gate lines put together from words of the format, valid and not, so that
+# drawn lines reach every check of a gate line and not only the first.
+assembled_gate_lines = st.builds(
+    lambda label, token, fields: " ".join([label, token, *fields]),
+    st.sampled_from(["-", "G1"]),
+    st.sampled_from(["X", "H", "RY", "NOT", "CNOT", "CCH", "CRX", "C", "SWAP"]),
+    st.lists(
+        st.sampled_from(["c=-", "c=a", "c=a,b", "c=z", "t=a", "t=b", "t=", "theta=0.5",
+                         "theta=nan", "theta=x", "zz=1", "t"]),
+        min_size=1, max_size=3,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(assembled_gate_lines, min_size=1, max_size=4))
+def test_parse_errors_name_their_line(lines):
+    try:
+        parse_circuit("# qubits: a,b,c\n" + "\n".join(lines))
+    except ValueError as exc:
+        assert re.match(r"line \d+: ", str(exc)), exc
 
 
 def test_step_labels_collapse_shared_steps():
