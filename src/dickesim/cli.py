@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .checks import run_all_checks
+from .checks import Check, run_all_checks
 from .dicke import (
     BipartitionParams,
     decompose_source,
@@ -196,7 +196,9 @@ def _write(args: argparse.Namespace, text: str) -> None:
     a fresh path, other systems and a refused exchange take ``os.replace``
     instead. Readers see the whole old file or the whole new one. A crash
     between the exchange and the unlink can leave one ``.dickesim-*`` file,
-    which holds the old content. A FIFO or a device at --out is written in place.
+    which holds the old content. Anything else at --out is opened in place: a
+    FIFO or a device is written into, and a directory fails the open with
+    ``IsADirectoryError`` naming --out before anything is written.
     """
     if args.out is None:
         sys.stdout.write(text)
@@ -205,8 +207,6 @@ def _write(args: argparse.Namespace, text: str) -> None:
         mode = os.stat(args.out).st_mode
     except OSError:  # a fresh path; the open below reports any other fault
         mode = 0
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if mode and not stat.S_ISREG(mode):
         with os.fdopen(os.open(args.out, os.O_WRONLY), "w") as handle:
             handle.write(text)
@@ -391,10 +391,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checks = run_all_checks()
     failed = [check.name for check in checks if not check.passed]
-    table = Table(
-        ("name", "expected", "actual", "tolerance", "comparison", "passed"),
-        [(c.name, c.expected, c.actual, c.tolerance, c.comparison, c.passed) for c in checks],
-    )
+    table = Table(Check._fields, checks)
     summary = {"checks": table, "all_passed": not failed, "tool_version": __version__}
     _write(args, _render_json(summary, sort_keys=False))
     if failed:

@@ -99,7 +99,7 @@ class GateSpec:
         name: mnemonic of the target operation ("H", "X", "RX", "RY") for the
             text format, or None for gates with no named form. A named gate's
             ``matrix`` must equal the named one byte for byte.
-        theta: angle parameter of the named operation, if it takes one.
+        theta: angle parameter of the named operation, if it takes one, as a float.
     """
 
     controls: tuple[int, ...]
@@ -124,7 +124,10 @@ class GateSpec:
         if matrix.shape != (2, 2):
             raise ValueError(f"target matrix must be 2x2, got {matrix.shape}")
         _check_target_matrix(matrix)
-        named = None if self.name is None else _named_matrix(self.name, self.theta)
+        # The text format writes repr(theta), which reads back only from a float.
+        theta = None if self.theta is None else float(self.theta)
+        object.__setattr__(self, "theta", theta)
+        named = None if self.name is None else _named_matrix(self.name, theta)
         if named is not None and matrix.tobytes() != named.tobytes():
             raise ValueError(f"target matrix is not the matrix of gate {self.name}")
         matrix.flags.writeable = False

@@ -148,28 +148,6 @@ def verify_untouched(circuit: CircuitProgram, label: str) -> bool:
     return all(qubit not in gate.qubits for gate in circuit.gates)
 
 
-@dataclass(frozen=True)
-class ExpansionOutcome:
-    """Result of one flag-post-selected expansion run.
-
-    ``probability`` is the Born probability of the selected flag outcome. On
-    success (flag outcome 0) ``success_state`` holds the 5-qubit register
-    (d1, d2, d3, d4, a1). On failure the branch's Schmidt decomposition
-    across (d1, d2, d3) | (d4, a1) splits it: ``remnant_state`` is the
-    dominant Schmidt vector on (d1, d2, d3), the recyclable remnant, and
-    ``separated_state`` its partner on (d4, a1). ``purity`` is Tr(rho^2) of
-    either reduced state (a pure state's two reductions share a spectrum);
-    it is 1 when the factors separate, up to rounding for the nominal input.
-    """
-
-    success: bool
-    probability: float
-    success_state: StateVector | None = None
-    remnant_state: StateVector | None = None
-    separated_state: StateVector | None = None
-    purity: float | None = None
-
-
 def _phase_anchored(vec: np.ndarray) -> StateVector:
     """``vec`` as a state, its largest-magnitude amplitude made real positive."""
     anchor = int(np.argmax(np.abs(vec)))
@@ -186,16 +164,17 @@ def expansion_premeasurement(state: StateVector) -> StateVector:
     return apply_circuit(full, build_d4_to_d5_circuit())
 
 
-def run_expansion(state: StateVector, outcome: int) -> ExpansionOutcome:
+def run_expansion(state: StateVector, outcome: int) -> tuple[float, StateVector]:
     """Run the restricted-access expansion on a 4-qubit input and post-select
     the flag on ``outcome``: 0 is the success branch, 1 the failure branch.
 
-    Raises ``ValueError`` if that branch is impossible for this input.
+    Returns ``(probability, branch)`` as :func:`sim.postselect` does, with
+    ``branch`` the renormalized 5-qubit state on (d1, d2, d3, d4, a1). Raises ``ValueError`` if that branch is impossible for this input.
     """
     return _expansion_branch(expansion_premeasurement(state), outcome)
 
 
-def _expansion_branch(pre: StateVector, outcome: int) -> ExpansionOutcome:
+def _expansion_branch(pre: StateVector, outcome: int) -> tuple[float, StateVector]:
     """Post-select the flag of a pre-measurement state
     (:func:`expansion_premeasurement`) on ``outcome``, as :func:`run_expansion`
     does; both branches can be read from one evolved state.
@@ -205,20 +184,22 @@ def _expansion_branch(pre: StateVector, outcome: int) -> ExpansionOutcome:
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
     probability, collapsed = postselect(pre, flag, outcome)
     # The flag is the last qubit, so its branch is every other amplitude.
-    five = collapsed.amplitudes[outcome::2]
-    if outcome == 0:
-        return ExpansionOutcome(
-            success=True, probability=probability, success_state=StateVector(5, five)
-        )
-    # Rows index (d1, d2, d3), columns (d4, a1): five = sum_k s_k u_k (x) vh_k.
-    u, s, vh = np.linalg.svd(five.reshape(8, 4))
-    return ExpansionOutcome(
-        success=False,
-        probability=probability,
-        remnant_state=_phase_anchored(u[:, 0]),
-        separated_state=_phase_anchored(vh[0]),
-        purity=float(np.sum(s**4)),
-    )
+    return probability, StateVector(5, collapsed.amplitudes[outcome::2])
+
+
+def split_failure(branch: StateVector) -> tuple[StateVector, StateVector, float]:
+    """Split a flag-1 branch of :func:`run_expansion` across (d1, d2, d3) |
+    (d4, a1) by one SVD, its Schmidt decomposition, into ``(remnant,
+    separated, purity)``: the dominant Schmidt vector on (d1, d2, d3), the
+    recyclable remnant, and its partner on (d4, a1), each phase-anchored, and
+    Tr(rho^2) of either reduced state (they share a spectrum), 1 when the
+    factors separate. Raises ``ValueError`` unless ``branch`` has 5 qubits.
+    """
+    if branch.n_qubits != 5:
+        raise ValueError(f"failure branch must have 5 qubits, got {branch.n_qubits}")
+    # Rows index (d1, d2, d3), columns (d4, a1): branch = sum_k s_k u_k (x) vh_k.
+    u, s, vh = np.linalg.svd(branch.amplitudes.reshape(8, 4))
+    return _phase_anchored(u[:, 0]), _phase_anchored(vh[0]), float(np.sum(s**4))
 
 
 def run_recycling(remnant: StateVector) -> StateVector:

@@ -29,6 +29,7 @@ from dickesim.protocols import (
     expansion_premeasurement,
     run_expansion,
     run_protocol_stats,
+    split_failure,
     verify_untouched,
 )
 from dickesim.sim import (
@@ -61,16 +62,16 @@ def test_criterion_1_exact_success_probability():
 
 def test_criterion_2_target_state_fidelity():
     """Post-selected success branch reproduces the 5-qubit Dicke state."""
-    outcome = run_expansion(dicke_state(4, 2), 0)
-    assert fidelity_pure(outcome.success_state, dicke_state(5, 3)) >= 1 - 1e-10
+    _, branch = run_expansion(dicke_state(4, 2), 0)
+    assert fidelity_pure(branch, dicke_state(5, 3)) >= 1 - 1e-10
     report("2 success-branch fidelity to the 5-qubit Dicke state")
 
 
 def test_criterion_3_recyclable_branch():
     """Failure branch: W-like remnant on (d1,d2,d3), pure (d4,a1) factor."""
-    outcome = run_expansion(dicke_state(4, 2), 1)
-    assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
-    assert abs(outcome.purity - 1.0) <= 1e-10
+    remnant, _, purity = split_failure(run_expansion(dicke_state(4, 2), 1)[1])
+    assert fidelity_pure(remnant, wlike_state()) >= 1 - 1e-10
+    assert abs(purity - 1.0) <= 1e-10
     report("3 recyclable failure branch")
 
 

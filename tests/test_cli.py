@@ -341,7 +341,7 @@ def test_verify_reports_failures_with_exit_code_3(capsys, monkeypatch):
     from dickesim.checks import Check
     import dickesim.cli as cli_module
 
-    broken = Check("tampered_fixture", 1.0, 0.5, 1e-12, "eq")
+    broken = Check("tampered_fixture", 1.0, 0.5, 1e-12, "eq", passed=False)
     monkeypatch.setattr(cli_module, "run_all_checks", lambda: [broken])
     assert run_cli(["verify"]) == 3
     captured = capsys.readouterr()
@@ -461,8 +461,9 @@ def test_warm_checks_evolve_each_state_once(fresh_references, monkeypatch):
     # of 4 steps
     assert steps == [4, 3, 5, 1, 2, 4, 4, 4, 4]
     assert len(evolved) == 9 and sum(steps) == 31
-    # the failure branch builds its two Schmidt factors, no 5-qubit state
-    assert len(states) == 21
+    # each flag branch is one 5-qubit state; the failure branch's two
+    # Schmidt factors are built from it
+    assert len(states) == 22
 
 
 def test_warm_checks_equal_cold_checks(fresh_references):

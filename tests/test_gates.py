@@ -194,6 +194,19 @@ def test_published_circuit_text_round_trips_byte_for_byte(case):
     assert format_circuit(parse_circuit(text)) == text
 
 
+@pytest.mark.parametrize(
+    "theta", [np.float64(0.5), np.float32(0.25), np.int64(2), 1], ids=repr
+)
+def test_angle_of_any_real_type_round_trips_byte_for_byte(theta):
+    # the line holds repr(theta): "np.float64(0.5)" under numpy 2 does not
+    # parse, and "1" parses back as 1.0, which writes "1.0"
+    gate = gates.ry(theta, 0, "R")
+    assert type(gate.theta) is float and gate.theta == theta
+    text = format_circuit(CircuitProgram(1, (gate,), ("q",)))
+    assert f"theta={float(theta)!r}" in text
+    assert format_circuit(parse_circuit(text)) == text
+
+
 def test_format_lines_shape():
     text = format_circuit(build_w3_circuit())
     lines = text.strip().splitlines()

@@ -1,5 +1,4 @@
 """Circuit builders, the flag-post-selected expansion, recycling, and shot statistics."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from dickesim import gates, protocols
 from dickesim.dicke import dicke_state, w_state, wlike_state
 from dickesim.gates import CircuitProgram
 from dickesim.protocols import (
-    ExpansionOutcome,
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
     build_w3_circuit,
@@ -22,6 +20,7 @@ from dickesim.protocols import (
     run_expansion,
     run_protocol_stats,
     run_recycling,
+    split_failure,
     verify_untouched,
 )
 from dickesim.sim import (
@@ -211,21 +210,20 @@ def test_flag_probability_after_every_gate_record():
 
 
 def test_expansion_success_branch():
-    outcome = run_expansion(dicke_state(4, 2), 0)
-    assert outcome.success
-    assert outcome.probability == pytest.approx(5 / 6, abs=1e-12)
-    assert outcome.success_state.n_qubits == 5
-    assert fidelity_pure(outcome.success_state, dicke_state(5, 3)) >= 1 - 1e-10
+    probability, branch = run_expansion(dicke_state(4, 2), 0)
+    assert probability == pytest.approx(5 / 6, abs=1e-12)
+    assert branch.n_qubits == 5
+    assert fidelity_pure(branch, dicke_state(5, 3)) >= 1 - 1e-10
 
 
 def test_expansion_failure_branch():
-    outcome = run_expansion(dicke_state(4, 2), 1)
-    assert not outcome.success
-    assert outcome.probability == pytest.approx(1 / 6, abs=1e-12)
-    assert fidelity_pure(outcome.remnant_state, wlike_state()) >= 1 - 1e-10
-    assert outcome.purity == pytest.approx(1.0, abs=1e-10)
+    probability, branch = run_expansion(dicke_state(4, 2), 1)
+    assert probability == pytest.approx(1 / 6, abs=1e-12)
+    remnant, separated, purity = split_failure(branch)
+    assert fidelity_pure(remnant, wlike_state()) >= 1 - 1e-10
+    assert purity == pytest.approx(1.0, abs=1e-10)
     # d4 and the first ancilla come out in |00>
-    np.testing.assert_allclose(outcome.separated_state.amplitudes, [1, 0, 0, 0], atol=1e-10)
+    np.testing.assert_allclose(separated.amplitudes, [1, 0, 0, 0], atol=1e-10)
 
 
 def _flag_branch(source, outcome):
@@ -242,12 +240,13 @@ def _reduced_density_matrix(amplitudes, keep):
     return m @ m.conj().T
 
 
-def test_success_state_is_the_flag_zero_axis():
+@pytest.mark.parametrize("outcome", [0, 1])
+def test_branch_state_is_the_flag_axis(outcome):
     rng = np.random.default_rng(2203)
     for source in [dicke_state(4, 2)] + [random_state(rng, 4) for _ in range(3)]:
-        _, collapsed = postselect(expansion_premeasurement(source), 5, 0)
-        expected = collapsed.amplitudes.reshape((2,) * 6)[..., 0].ravel()
-        amplitudes = run_expansion(source, 0).success_state.amplitudes
+        _, collapsed = postselect(expansion_premeasurement(source), 5, outcome)
+        expected = collapsed.amplitudes.reshape((2,) * 6)[..., outcome].ravel()
+        amplitudes = run_expansion(source, outcome)[1].amplitudes
         assert amplitudes.tobytes() == expected.tobytes()
         assert amplitudes.base is None and not amplitudes.flags.writeable
 
@@ -259,12 +258,12 @@ def test_failure_split_matches_density_matrix_oracle():
     gapped = 0
     for _ in range(40):
         source = random_state(rng, 4)
-        outcome = run_expansion(source, 1)
-        assert outcome.purity < 0.999
+        remnant, separated, purity = split_failure(run_expansion(source, 1)[1])
+        assert purity < 0.999
         branch = _flag_branch(source, 1)
-        for keep, factor in (((0, 1, 2), outcome.remnant_state), ((3, 4), outcome.separated_state)):
+        for keep, factor in (((0, 1, 2), remnant), ((3, 4), separated)):
             rho = _reduced_density_matrix(branch, keep)
-            assert abs(np.trace(rho @ rho).real - outcome.purity) <= 1e-12
+            assert abs(np.trace(rho @ rho).real - purity) <= 1e-12
             amplitudes = factor.amplitudes
             anchor = amplitudes[np.argmax(np.abs(amplitudes))]
             assert anchor.real > 0 and abs(anchor.imag) <= 1e-15
@@ -276,8 +275,8 @@ def test_failure_split_matches_density_matrix_oracle():
 
 
 def test_failure_factors_reproduce_the_nominal_branch():
-    outcome = run_expansion(dicke_state(4, 2), 1)
-    product = tensor(outcome.remnant_state, outcome.separated_state).amplitudes
+    remnant, separated, _ = split_failure(run_expansion(dicke_state(4, 2), 1)[1])
+    product = tensor(remnant, separated).amplitudes
     np.testing.assert_allclose(product, _flag_branch(dicke_state(4, 2), 1), rtol=0, atol=1e-12)
 
 
@@ -286,19 +285,27 @@ def test_run_expansion_equals_both_branches_of_one_evolved_state():
     for source in [dicke_state(4, 2)] + [random_state(rng, 4) for _ in range(3)]:
         pre = expansion_premeasurement(source)
         for outcome in (0, 1):
-            alone = run_expansion(source, outcome)
-            shared = protocols._expansion_branch(pre, outcome)
-            for field in dataclasses.fields(ExpansionOutcome):
-                a, b = getattr(alone, field.name), getattr(shared, field.name)
-                if isinstance(a, StateVector):
+            alone_probability, alone = run_expansion(source, outcome)
+            shared_probability, shared = protocols._expansion_branch(pre, outcome)
+            assert alone_probability == shared_probability
+            assert alone.amplitudes.tobytes() == shared.amplitudes.tobytes()
+            if outcome == 1:
+                *alone_factors, alone_purity = split_failure(alone)
+                *shared_factors, shared_purity = split_failure(shared)
+                assert alone_purity == shared_purity
+                for a, b in zip(alone_factors, shared_factors):
                     assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
-                else:
-                    assert a == b
 
 
 def test_expansion_rejects_wrong_register_size():
     with pytest.raises(ValueError):
         run_expansion(dicke_state(3, 1), 0)
+
+
+@pytest.mark.parametrize("n_qubits", [4, 6])
+def test_split_failure_rejects_wrong_register_size(n_qubits):
+    with pytest.raises(ValueError, match="failure branch must have 5 qubits"):
+        split_failure(dicke_state(n_qubits, 1))
 
 
 def test_expansion_rejects_an_impossible_or_invalid_flag_outcome():
@@ -310,8 +317,7 @@ def test_expansion_rejects_an_impossible_or_invalid_flag_outcome():
 
 
 def test_success_state_is_permutation_symmetric():
-    outcome = run_expansion(dicke_state(4, 2), 0)
-    amps = outcome.success_state.amplitudes
+    amps = run_expansion(dicke_state(4, 2), 0)[1].amplitudes
     rng = np.random.default_rng(43)
     for _ in range(5):
         perm = rng.permutation(5)
