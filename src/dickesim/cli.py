@@ -18,7 +18,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # Upper limits on work requested from the command line; larger values exit 2
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # sampling is one multinomial draw, the same cost at any count
-MAX_STEPS = 100_000  # end to end on 2 cores: about 0.6 s with CSV, 0.8 s with JSON
+MAX_STEPS = 100_000  # end to end on 2 cores: about 0.3 s with CSV, 0.4 s with JSON
 MAX_QUBITS = 5_000  # --total + --added; worst case about 1.2 s (decompose --added 1, M = k = N/2)
 
 
@@ -78,49 +78,69 @@ def _json_cell(v: Any) -> str:
     raise TypeError(f"table cell of type {type(v).__name__} is not JSON serializable")
 
 
+def _all_floats(column: Sequence[Any]) -> bool:
+    return all(isinstance(v, float) for v in column)
+
+
+def _json_column(column: Sequence[Any]) -> list[str]:
+    """Each cell of ``column`` as ``_json_cell`` writes it. An all-float
+    column is formatted in one ``%`` pass; only a cell whose text is not
+    already a JSON float (integer-valued, exponent form, NaN or infinity)
+    goes through ``_json_cell``."""
+    if not _all_floats(column):
+        return [_json_cell(v) for v in column]
+    texts = (f"%{_FLOAT_SPEC}\n" * len(column) % tuple(column)).split("\n")
+    return [t if "." in t and "e" not in t else _json_cell(v) for t, v in zip(texts, column)]
+
+
 @dataclass(frozen=True)
 class Table:
-    """Rows under named columns, every row one cell per column. Each format
-    renders all rows in one pass from a row template built once per table;
-    floats carry 12 significant digits in both."""
+    """Cells under named columns, held as one sequence of cells per column,
+    all of one length; there is at least one column. Each format renders
+    all rows in one pass from a row template built once per table; floats
+    carry 12 significant digits in both."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    names: tuple[str, ...]
+    columns: Sequence[Sequence[Any]]
+
+    @classmethod
+    def from_rows(cls, names: Sequence[str], rows: Sequence[Sequence[Any]]) -> Table:
+        """The table of ``rows``, each one cell per name, transposed once."""
+        return cls(tuple(names), [[row[i] for row in rows] for i in range(len(names))])
 
     def csv(self) -> str:
         """A header line, then one line per row: a float as ``_fmt`` writes
         it, any other cell as ``str``."""
-        columns = [[r[i] for r in self.rows] for i in range(len(self.columns))]
+        columns = list(self.columns)
         fields = []
         for i, column in enumerate(columns):
-            floats = [isinstance(v, float) for v in column]
-            if all(floats):
+            if _all_floats(column):
                 # The template formats a column of floats with _fmt's spec.
                 fields.append("%" + _FLOAT_SPEC)
             else:
                 fields.append("%s")
-                if any(floats):
-                    columns[i] = [_fmt(v) if f else v for v, f in zip(column, floats)]
+                columns[i] = [_fmt(v) if isinstance(v, float) else v for v in column]
         row = ",".join(fields) + "\n"
         cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-        return ",".join(self.columns) + "\n" + row * len(self.rows) % cells
+        return ",".join(self.names) + "\n" + row * len(columns[0]) % cells
 
     def json(self, indent: str, sort_keys: bool) -> str:
         """The rows as the array of records, column to cell, that
         ``json.dumps(..., indent=2, sort_keys=sort_keys)`` writes for a list
         whose line starts with ``indent``."""
-        if not self.rows:
+        n_rows = len(self.columns[0])
+        if not n_rows:
             return "[]"
         # Each key's last column, in the order a dict built from the row keeps.
-        last = {c: i for i, c in enumerate(self.columns)}
+        last = {c: i for i, c in enumerate(self.names)}
         keys = sorted(last) if sort_keys else list(last)
         fields = ",\n".join(
             f"{indent}    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
         )
-        row = f"{indent}  {{\n{fields}\n{indent}  }}" if keys else f"{indent}  {{}}"
-        order = [last[k] for k in keys]
-        cells = [_json_cell(r[i]) for r in self.rows for i in order]
-        return "[\n" + ",\n".join([row] * len(self.rows)) % tuple(cells) + f"\n{indent}]"
+        row = f"{indent}  {{\n{fields}\n{indent}  }}"
+        texts = [_json_column(self.columns[last[k]]) for k in keys]
+        cells = tuple(itertools.chain.from_iterable(zip(*texts)))
+        return "[\n" + ",\n".join([row] * n_rows) % cells + f"\n{indent}]"
 
 
 # A table's place in the report skeleton: a string that json.dumps writes as
@@ -289,9 +309,11 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         "d5-analytic": lambda: dicke_state(5, 3),
     }
     state = states[args.target]()
+    amps = state.amplitudes
+    indices = range(len(amps))
     table = Table(
         ("index", "bitstring", "re", "im"),
-        [(i, state.bitstring(i), a.real, a.imag) for i, a in enumerate(state.amplitudes)],
+        [indices, [state.bitstring(i) for i in indices], amps.real.tolist(), amps.imag.tolist()],
     )
     _emit(args, {"n_qubits": state.n_qubits, "amplitudes": table}, table)
     return 0
@@ -303,7 +325,7 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     stats = run_protocol_stats(args.shots, args.seed)
     if sum(stats.counts.values()) != stats.shots:
         raise ValueError("histogram counts do not sum to the shot total")
-    table = Table(
+    table = Table.from_rows(
         ("bitstring", "count", "frequency"),
         [(bits, count, count / stats.shots) for bits, count in sorted(stats.counts.items())],
     )
@@ -356,7 +378,7 @@ def cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     sides = [("source", decompose_source(params))]
     if params.added > 0:
         sides.append(("target", decompose_target(params)))
-    table = Table(
+    table = Table.from_rows(
         ("side", "j", "a_excitations", "b_excitations", "coefficient", "weight"),
         [
             (side, t.j, t.a_excitations, t.j, t.coefficient,
@@ -383,7 +405,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         fidelities = fidelity_sweep(grid, mode=args.mode)
     except ValueError as exc:
         parser.error(str(exc))
-    table = Table(("theta", "fidelity"), list(zip(grid.tolist(), fidelities.tolist())))
+    table = Table(("theta", "fidelity"), [grid.tolist(), fidelities.tolist()])
     _emit(args, {"rows": table}, table)
     return 0
 
@@ -391,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checks = run_all_checks()
     failed = [check.name for check in checks if not check.passed]
-    table = Table(Check._fields, checks)
+    table = Table.from_rows(Check._fields, checks)
     summary = {"checks": table, "all_passed": not failed, "tool_version": __version__}
     _write(args, _render_json(summary, sort_keys=False))
     if failed:
@@ -475,8 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bipartition_flags(decompose, cmd_decompose, added=0)
 
     sweep = subparsers.add_parser("sweep", help="over-rotation fidelity sweep")
-    sweep.add_argument("--theta-min", type=float, default=0.0)
-    sweep.add_argument("--theta-max", type=float, default=0.1)
+    # argparse reads a bare negative in exponent form, such as -2e-4, as an
+    # option, so the help names the "=" form that passes it as the value.
+    sweep.add_argument(
+        "--theta-min", type=float, default=0.0,
+        help="smallest over-rotation angle (radians); a negative in exponent "
+        "form takes '=', as in --theta-min=-2e-4",
+    )
+    sweep.add_argument(
+        "--theta-max", type=float, default=0.1,
+        help="largest over-rotation angle (radians); a negative in exponent "
+        "form takes '=', as in --theta-max=-1e-4",
+    )
     sweep.add_argument("--steps", type=int, default=101)
     sweep.add_argument(
         "--mode", choices=[m.value for m in FidelityMode],

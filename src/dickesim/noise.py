@@ -137,11 +137,10 @@ def _norm_polynomial(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 class _ExpansionFit(NamedTuple):
     """The noisy expansion of ``NOMINAL_INPUT`` as polynomials in
-    ``z = exp(i theta / 2)``: the squared norms of the output and of its
-    flag-0 branch (:func:`_norm_polynomial`), and the overlap coefficients
-    with the ideal output and with the post-selected ideal, by increasing m."""
+    ``z = exp(i theta / 2)``: the squared norm of its flag-0 branch
+    (:func:`_norm_polynomial`), and the overlap coefficients with the ideal
+    output and with the post-selected ideal, by increasing m."""
 
-    norm: np.ndarray
     branch_norm: np.ndarray
     overlap: np.ndarray
     branch_overlap: np.ndarray
@@ -155,6 +154,11 @@ def _expansion_fit() -> _ExpansionFit:
     ``NOMINAL_INPUT``, so the node matrices and states are checked then; the
     post-selected ideal goes through :func:`postselect`. Every array of the
     result is read-only, as it is shared by every later call.
+
+    The output norm is checked here, once for every angle: on ``|z| = 1`` its
+    square ``Re sum_d p_d z^d`` lies within ``s = sum_{d >= 1} |p_d|`` of
+    ``Re p_0``, so both ends of that interval must give norm 1 within
+    ``NORM_ATOL``, with the message of a one-angle run. A NaN fit fails it.
     """
     n = NOMINAL_INPUT.n_qubits
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
@@ -162,10 +166,14 @@ def _expansion_fit() -> _ExpansionFit:
     ideal = StateVector(n, ideal)
     _, selected = postselect(ideal, flag, 0)
     branch = a.reshape((len(a),) + (2,) * n)[_axis_index(n, [(flag, 0)])]
+    norm = _norm_polynomial(m, a)
+    # A negative end, where np.sqrt would warn, is clipped to norm 0, which
+    # fails the check as well.
+    center, spread = float(norm[0].real), float(np.abs(norm[1:]).sum())
+    _check_norms(np.sqrt(np.maximum([center - spread, center + spread], 0.0)))
     # b_m by increasing m gives z^D sum_m b_m z^m, whose modulus is the same.
     order = np.argsort(m)
     fit = _ExpansionFit(
-        _norm_polynomial(m, a),
         _norm_polynomial(m, branch.reshape(len(a), -1)),
         (a @ ideal.amplitudes.conj())[order],
         (a @ selected.amplitudes.conj())[order],
@@ -197,15 +205,15 @@ def fidelity_sweep(
     grid length (:func:`_expansion_fit`); later calls evolve none. The ideal
     output is node ``theta_0 = 0``, not a run of its own. On each grid
     angle, ``z = exp(i theta / 2)``, the overlap with the ideal output is
-    ``sum_m b_m z^m`` with ``b_m = <ideal|a_m>``, and the squared norms of the
-    output and of its flag-0 branch are polynomials read off Gram matrices
-    of the coefficients; Horner's rule evaluates each. Every grid angle is
-    checked as :func:`noisify_gate` checks one before any work; the node
-    matrices and states are checked as :class:`GateSpec` and ``StateVector``
-    check one, when the fit is made; and on every call every grid angle's
-    output norm must be 1 within ``NORM_ATOL`` and, post-selected, its
-    flag-0 probability at least ``IMPOSSIBLE_BRANCH``, with the messages of
-    a one-angle run.
+    ``sum_m b_m z^m`` with ``b_m = <ideal|a_m>``, and the squared norm of its
+    flag-0 branch is a polynomial read off the Gram matrix of the branch's
+    coefficients; Horner's rule evaluates each. Every grid angle is checked
+    as :func:`noisify_gate` checks one before any work. When the fit is
+    made, the node matrices and states are checked as :class:`GateSpec` and
+    ``StateVector`` check one, and the output norm is bounded at every angle
+    in [-pi, pi] (:func:`_expansion_fit`). Post-selected, on every call,
+    every grid angle's flag-0 probability must be at least
+    ``IMPOSSIBLE_BRANCH``, with the message of a one-angle run.
     """
     mode = FidelityMode(mode)
     thetas = np.asarray(theta_grid)
@@ -225,7 +233,6 @@ def fidelity_sweep(
     # grid is evaluated twice over, so its angle gets the bits any grid gives
     # it, and the copy is sliced off.
     z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
-    _check_norms(np.sqrt(_horner(fit.norm, z).real))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
         probs = _horner(fit.branch_norm, z).real
         low = int(np.argmin(probs))

@@ -486,6 +486,22 @@ def test_warm_checks_peak_memory_stays_small(fresh_references):
     assert peak <= 96 * 1024
 
 
+def test_warm_sweep_peak_memory_at_scale(tmp_path):
+    # 20,000 angles go from two float columns straight into the CSV text
+    # (about 3 MiB at peak); regrouping them into row tuples costs 1.3 MiB more
+    import tracemalloc
+
+    argv = ["sweep", "--steps", "20000", "--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+
+
 def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):
     from dickesim import dicke
 
@@ -736,8 +752,8 @@ def test_out_fifo_is_written_not_replaced(tmp_path):
 
 def _reference_csv(table):
     """Table.csv as it was when it rendered row by row."""
-    lines = [",".join(table.columns)]
-    for row in table.rows:
+    lines = [",".join(table.names)]
+    for row in zip(*table.columns):
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -745,8 +761,8 @@ def _reference_csv(table):
 def _reference_records(table):
     """The records json.dumps once got from each Table through ``default``."""
     return [
-        {c: float(f"{v:.12g}") if isinstance(v, float) else v for c, v in zip(table.columns, row)}
-        for row in table.rows
+        {c: float(f"{v:.12g}") if isinstance(v, float) else v for c, v in zip(table.names, row)}
+        for row in zip(*table.columns)
     ]
 
 
@@ -764,9 +780,15 @@ _text = st.text(st.one_of(st.sampled_from('"\\\0\x1f\n\t,%{}é€\U0001f600'), s
 _cells = st.one_of(
     _floats, _floats.map(np.float64), st.integers(), st.booleans(), st.none(), _text
 )
-_tables = st.lists(st.one_of(st.sampled_from(["theta", "%s", "{0}"]), _text), max_size=4).flatmap(
-    lambda columns: st.lists(st.tuples(*[_cells] * len(columns)), max_size=5).map(
-        lambda rows: cli.Table(tuple(columns), rows)
+# A table held by column has at least one, which gives its row count.
+_tables = st.lists(
+    st.one_of(st.sampled_from(["theta", "%s", "{0}"]), _text), min_size=1, max_size=4
+).flatmap(
+    lambda names: st.integers(0, 5).flatmap(
+        lambda n_rows: st.lists(
+            st.lists(_cells, min_size=n_rows, max_size=n_rows),
+            min_size=len(names), max_size=len(names),
+        ).map(lambda columns: cli.Table(tuple(names), columns))
     )
 )
 # Strings of a report outside its tables hold no NUL, as command lines cannot.
@@ -797,6 +819,19 @@ def test_a_table_renders_alone_and_nested(table):
     for report in (table, {"rows": table}, [{"a": [table, 1]}, {"b": {"c": table}}]):
         for sort_keys in (True, False):
             assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_an_all_float_column_renders_as_cell_by_cell(column, sort_keys):
+    # the one-pass column format, with every irregular cell among regular ones
+    table = cli.Table(("theta", "fidelity"), [column, column[::-1]])
+    assert table.csv() == _reference_csv(table)
+    report = {"rows": table}
+    assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ for _fmt in ("csv", "json"):
         "decompose", *_PAPER, "--added", "1", "--added-excitations", "1", "--format", _fmt]
     for _mode in ("post-selected", "pre-measurement"):
         CASES[f"sweep_{_mode}_{_fmt}"] = [*_SWEEP, "--mode", _mode, "--format", _fmt]
+    # A grid through zero whose float cells need their own text: exponent
+    # form (-5e-05), zero and an integer-valued fidelity (1 in CSV, 1.0 in
+    # JSON). --theta-min takes "=" because argparse reads a bare -2e-4 as an
+    # option.
+    CASES[f"sweep_near_zero_{_fmt}"] = [
+        "sweep", "--theta-min=-2e-4", "--theta-max", "2e-4", "--steps", "9",
+        "--mode", "pre-measurement", "--format", _fmt]
 CASES["sample_csv_out"] = ["sample", "--shots", "1000", "--seed", "42", "--out", OUT]
 CASES["verify"] = ["verify"]
 CASES["verify_out"] = ["verify", "--out", OUT]

@@ -348,6 +348,25 @@ def test_sweep_checks_each_angle_norm_and_branch_from_the_coefficients(monkeypat
         fidelity_sweep([0.05], mode=FidelityMode.POST_SELECTED_SUCCESS)
 
 
+def test_fit_bounds_the_output_norm_at_every_angle_not_only_the_grid(monkeypatch, fresh_fit):
+    # +delta on the z^1 coefficient and -delta on the z^-1 one cancel at
+    # theta = 0, so a check of the grid's norms alone would pass [0.0]
+    spectral = noise._fourier_coefficients
+    delta = 1e-4
+
+    def skewed(*args):
+        m, a, ideal = spectral(*args)
+        a = a.copy()
+        a[m == 1, 0] += delta
+        a[m == -1, 0] -= delta
+        return m, a, ideal
+
+    monkeypatch.setattr(noise, "_fourier_coefficients", skewed)
+    for mode in FidelityMode:
+        with pytest.raises(ValueError, match="state is not normalized: [|]psi[|] = "):
+            fidelity_sweep([0.0], mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # the robustness curvature: F(theta) = 1 - kappa theta^2 + O(theta^3)
 
