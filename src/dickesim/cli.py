@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -143,37 +142,29 @@ class Table:
         return "[\n" + ",\n".join([row] * n_rows) % cells + f"\n{indent}]"
 
 
-# A table's place in the report skeleton: a string that json.dumps writes as
-# "\u0000<index>".
-_SLOT = re.compile(r'"\\u0000(\d+)"')
-
-
 def _render_json(report: Any, sort_keys: bool) -> str:
     """``report`` as ``json.dumps(report, indent=2, sort_keys=sort_keys)``
     writes it, each Table in it as its array of records, and a final newline.
 
-    The skeleton goes through json.dumps with a slot string in place of each
-    table; each table's text is spliced in at its slot's indentation. No
-    string of the report outside its tables may hold NUL (none does: command
-    lines cannot carry it).
+    json.dumps's ``default`` hook writes each Table as a one-NUL string, the
+    slot ``"\\u0000"``, and lists the tables in output order; each table's
+    text is then spliced in at its slot's indentation. No string of the
+    report outside its tables may hold NUL (none does: command lines cannot
+    carry it).
     """
     tables: list[Table] = []
 
-    def stub(obj: Any) -> Any:
-        if isinstance(obj, Table):
-            tables.append(obj)
-            return f"\0{len(tables) - 1}"
-        if isinstance(obj, dict):
-            return {k: stub(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [stub(v) for v in obj]
-        return obj
+    def slot(obj: Any) -> str:
+        if not isinstance(obj, Table):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return "\0"
 
-    pieces = _SLOT.split(json.dumps(stub(report), indent=2, sort_keys=sort_keys))
-    for i in range(1, len(pieces), 2):
-        line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
+    pieces = json.dumps(report, indent=2, sort_keys=sort_keys, default=slot).split('"\\u0000"')
+    for i, table in enumerate(tables):
+        line = pieces[i][pieces[i].rfind("\n") + 1:]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        pieces[i] = tables[int(pieces[i])].json(indent, sort_keys)
+        pieces[i] += table.json(indent, sort_keys)
     return "".join(pieces) + "\n"
 
 

@@ -202,16 +202,18 @@ class CircuitProgram:
     qubit_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+        n_qubits = _index(self.n_qubits)
+        if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         labels = tuple(self.qubit_labels)
-        if len(labels) != self.n_qubits:
-            raise ValueError(f"expected {self.n_qubits} qubit labels, got {len(labels)}")
+        if len(labels) != n_qubits:
+            raise ValueError(f"expected {n_qubits} qubit labels, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError("qubit labels must be distinct")
         gates = tuple(self.gates)
         for g in gates:
-            g.check_fits(self.n_qubits)
+            g.check_fits(n_qubits)
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "qubit_labels", labels)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
 from .protocols import EXPANSION_LAYOUT, NOMINAL_INPUT, build_d4_to_d5_circuit
 from .sim import (
     IMPOSSIBLE_BRANCH,
+    NORM_ATOL,
     StateVector,
     _axis_index,
     _check_normalized,
-    _check_norms,
     _evolve,
     postselect,
 )
@@ -135,30 +135,24 @@ def _norm_polynomial(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return p
 
 
-class _ExpansionFit(NamedTuple):
-    """The noisy expansion of ``NOMINAL_INPUT`` as polynomials in
-    ``z = exp(i theta / 2)``: the squared norm of its flag-0 branch
-    (:func:`_norm_polynomial`), and the overlap coefficients with the ideal
-    output and with the post-selected ideal, by increasing m."""
-
-    branch_norm: np.ndarray
-    overlap: np.ndarray
-    branch_overlap: np.ndarray
-
-
 @functools.cache
-def _expansion_fit() -> _ExpansionFit:
-    """Fit the paper's instance once per process, on the first call.
+def _expansion_fit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the paper's instance once per process, on the first call: the
+    noisy expansion of ``NOMINAL_INPUT`` as polynomials in
+    ``z = exp(i theta / 2)``, returned as ``(branch_norm, overlap,
+    branch_overlap)``: the squared norm of its flag-0 branch
+    (:func:`_norm_polynomial`), and the overlap coefficients with the ideal
+    output and with the post-selected ideal, by increasing m. Every array is
+    read-only, as it is shared by every later call.
 
     Runs :func:`_fourier_coefficients` on ``build_d4_to_d5_circuit()`` and
     ``NOMINAL_INPUT``, so the node matrices and states are checked then; the
-    post-selected ideal goes through :func:`postselect`. Every array of the
-    result is read-only, as it is shared by every later call.
+    post-selected ideal goes through :func:`postselect`.
 
     The output norm is checked here, once for every angle: on ``|z| = 1`` its
     square ``Re sum_d p_d z^d`` lies within ``s = sum_{d >= 1} |p_d|`` of
-    ``Re p_0``, so both ends of that interval must give norm 1 within
-    ``NORM_ATOL``, with the message of a one-angle run. A NaN fit fails it.
+    ``Re p_0``, so the norms at both ends must be 1 within ``NORM_ATOL``, as
+    a state's are; the message names the end farther from 1. A NaN fit fails.
     """
     n = NOMINAL_INPUT.n_qubits
     flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
@@ -167,13 +161,15 @@ def _expansion_fit() -> _ExpansionFit:
     _, selected = postselect(ideal, flag, 0)
     branch = a.reshape((len(a),) + (2,) * n)[_axis_index(n, [(flag, 0)])]
     norm = _norm_polynomial(m, a)
-    # A negative end, where np.sqrt would warn, is clipped to norm 0, which
-    # fails the check as well.
     center, spread = float(norm[0].real), float(np.abs(norm[1:]).sum())
-    _check_norms(np.sqrt(np.maximum([center - spread, center + spread], 0.0)))
+    # A negative end is clipped to norm 0, which fails as well; max keeps NaN.
+    low, high = (math.sqrt(max(end, 0.0)) for end in (center - spread, center + spread))
+    worst = high if abs(high - 1.0) > abs(low - 1.0) else low
+    if not abs(worst - 1.0) <= NORM_ATOL:
+        raise ValueError(f"state is not normalized: |psi| = {worst!r}")
     # b_m by increasing m gives z^D sum_m b_m z^m, whose modulus is the same.
     order = np.argsort(m)
-    fit = _ExpansionFit(
+    fit = (
         _norm_polynomial(m, branch.reshape(len(a), -1)),
         (a @ ideal.amplitudes.conj())[order],
         (a @ selected.amplitudes.conj())[order],
@@ -227,23 +223,22 @@ def fidelity_sweep(
     bad = ~(np.abs(thetas) <= math.pi)  # NaN fails the comparison too
     if bad.any():
         _check_angle(float(thetas[int(np.argmax(bad))]))
-    fit = _expansion_fit()
+    branch_norm, overlap, branch_overlap = _expansion_fit()
     # numpy multiplies a one-element array in its scalar loop, which rounds
     # differently from the vector loop of every longer array; a one-angle
     # grid is evaluated twice over, so its angle gets the bits any grid gives
     # it, and the copy is sliced off.
     z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
-        probs = _horner(fit.branch_norm, z).real
+        probs = _horner(branch_norm, z).real
         low = int(np.argmin(probs))
         if probs[low] < IMPOSSIBLE_BRANCH:
             flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
             raise ValueError(
                 f"outcome 0 on qubit {flag} has probability {float(probs[low])!r}"
             )
-        overlap = fit.branch_overlap
+        overlap = branch_overlap
     else:
         probs = 1.0
-        overlap = fit.overlap
     fidelities = np.abs(_horner(overlap, z)) ** 2 / probs
     return fidelities[: thetas.size]

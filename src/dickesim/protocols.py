@@ -253,11 +253,12 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
     function of (seed, shots), at a cost that does not grow with ``shots``.
     The distribution is computed once per process, on the first call.
     ``shots`` and ``seed`` must be integers; a float or bool raises ``TypeError``.
-    ``seed`` must lie in [0, 2**128), the range of a Philox key.
+    ``shots`` must lie in [1, 2**63), the range of numpy's int64 count, and
+    ``seed`` in [0, 2**128), the range of a Philox key.
     """
     shots, seed = _index(shots), _index(seed)
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots < 1 << 63:
+        raise ValueError(f"shots must be an integer in [1, 2**63), got {shots}")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
     pre, probs = _nominal_distribution()

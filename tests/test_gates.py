@@ -24,6 +24,7 @@ from dickesim.protocols import (
     build_w3_circuit,
     run_protocol_stats,
 )
+from dickesim.sim import StateVector, new_basis_state, postselect
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,12 +134,21 @@ def test_make_gate_angle_rules():
 
 
 # Each entry point validates its integer arguments with gates._index: a call
-# with two arguments, and two values that it accepts.
+# with two arguments, and two values that it accepts. An entry point with one
+# integer argument is called once per argument.
 INTEGER_ENTRY_POINTS = {
     "GateSpec": (lambda a, b: GateSpec((a,), b, gates.X_MATRIX).qubits, (0, 1)),
     "BipartitionParams": (lambda a, b: BipartitionParams(4, 2, 3, a, b).added, (1, 1)),
     "run_protocol_stats": (lambda a, b: run_protocol_stats(a, b).shots, (1, 1)),
     "dicke_state": (lambda a, b: dicke_state(a, b).n_qubits, (1, 1)),
+    "postselect": (lambda a, b: postselect(new_basis_state(2, "01"), a, b)[0], (1, 1)),
+    "StateVector": (
+        lambda a, b: (StateVector(a, [1, 0]).n_qubits, StateVector(b, [0, 1]).n_qubits), (1, 1)),
+    "CircuitProgram": (
+        lambda a, b: (CircuitProgram(a, (), "q").n_qubits, CircuitProgram(b, (), "r").n_qubits),
+        (1, 1)),
+    "new_basis_state": (
+        lambda a, b: (new_basis_state(a, "1").n_qubits, new_basis_state(b, "0").n_qubits), (1, 1)),
 }
 
 

@@ -367,6 +367,19 @@ def test_fit_bounds_the_output_norm_at_every_angle_not_only_the_grid(monkeypatch
             fidelity_sweep([0.0], mode=mode)
 
 
+def test_fit_norm_bound_names_the_end_whose_norm_lies_farther_from_one(monkeypatch, fresh_fit):
+    # Squared, the upper end c + s lies farther from 1 than c - s; as norms,
+    # the lower end does, by about s^2 / 4 - (c - 1).
+    center, spread = 1.0 + 1e-7, 1e-3
+    p = np.zeros(33, dtype=complex)
+    p[0], p[1] = center, spread
+    monkeypatch.setattr(noise, "_norm_polynomial", lambda m, a: p)
+    lower = math.sqrt(center - spread)
+    assert abs(lower - 1.0) > abs(math.sqrt(center + spread) - 1.0)
+    with pytest.raises(ValueError, match=f"^state is not normalized: [|]psi[|] = {lower!r}$"):
+        fidelity_sweep([0.0])
+
+
 # ---------------------------------------------------------------------------
 # the robustness curvature: F(theta) = 1 - kappa theta^2 + O(theta^3)
 

@@ -314,6 +314,10 @@ def test_expansion_rejects_an_impossible_or_invalid_flag_outcome():
         run_expansion(new_basis_state(4, "1100"), 1)
     with pytest.raises(ValueError, match="outcome must be 0 or 1"):
         run_expansion(dicke_state(4, 2), 2)
+    # True selected the whole register and failed as an unnormalized state
+    for outcome in (True, 0.0):
+        with pytest.raises(TypeError):
+            run_expansion(dicke_state(4, 2), outcome)
 
 
 def test_success_state_is_permutation_symmetric():
@@ -382,6 +386,15 @@ def test_stats_single_shot():
 def test_stats_rejects_zero_shots():
     with pytest.raises(ValueError):
         run_protocol_stats(0, seed=1)
+
+
+def test_stats_take_shots_up_to_the_int64_range():
+    # numpy's multinomial counts in int64; 2**63 raised its OverflowError
+    assert run_protocol_stats(2**63 - 1, seed=1).shots == 2**63 - 1
+    message = r"^shots must be an integer in \[1, 2\*\*63\), got 9223372036854775808$"
+    for shots in (2**63, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=message):
+            run_protocol_stats(shots, seed=1)
 
 
 def test_stats_refuse_a_fractional_shot_count():

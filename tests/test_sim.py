@@ -186,6 +186,14 @@ def test_one_state_norm_check_keeps_the_batched_messages(amps, message):
     assert str(raised.value) == message
 
 
+def test_batch_norm_check_names_the_first_failing_row():
+    rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\| = 2\.0$"):
+        sim._check_normalized(rows)
+    with pytest.raises(ValueError, match="^amplitudes contain NaN or Inf$"):
+        sim._check_normalized(np.array([[2.0, 0.0], [np.nan, 0.0]], dtype=complex))
+
+
 def test_statevector_adopts_only_read_only_complex_arrays_that_own_their_data():
     owned = np.array([1.0, 0.0], dtype=complex)
     owned.flags.writeable = False
@@ -545,6 +553,14 @@ def test_postselect_rejects_bad_qubit_or_outcome():
     for outcome in (-1, 2):
         with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {outcome}"):
             postselect(state, 0, outcome)
+    # a bool index selected the whole array, and a float one failed in numpy
+    for bad in (True, False, np.True_, 1.0, 0.0):
+        with pytest.raises(TypeError):
+            postselect(state, bad, 0)
+        with pytest.raises(TypeError):
+            postselect(state, 0, bad)
+    probability, selected = postselect(state, np.int64(1), np.uint8(0))
+    assert probability == 1.0 and selected.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def test_branch_selection_on_every_qubit():
