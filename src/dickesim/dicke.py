@@ -22,6 +22,9 @@ from .gates import _index
 from .sim import StateVector
 
 DECOMPOSITION_ATOL = 1e-12
+# Amplitudes per block of verify_decomposition, a power of two, which bounds
+# a call's working memory (about 32 KiB at 2**10).
+DECOMPOSITION_BLOCK = 1 << 10
 
 
 def dicke_state(n: int, k: int) -> StateVector:
@@ -247,25 +250,29 @@ def max_success_probability(params: BipartitionParams) -> Fraction:
     return Fraction(best_source * target_denominator, best_target * source_denominator)
 
 
-def _split_tensor(decomposition: DickeDecomposition) -> np.ndarray:
-    """Amplitudes of sum_j c_j |D_A^{M-j}> (x) |D_B^{j}> as a ``(2,) * n``
-    tensor with A's axes first.
+def _split_table(decomposition: DickeDecomposition) -> np.ndarray:
+    """Amplitudes of sum_j c_j |D_A^{M-j}> (x) |D_B^{j}> by Hamming weight: a
+    complex ``(|A| + 1, |B| + 1)`` table that holds c_j * (1/sqrt(C(|A|, M-j))
+    * 1/sqrt(C(|B|, j))) at row M-j, column j, and 0 elsewhere.
 
-    An amplitude depends only on the Hamming weights of its A and B parts, so
-    one ``(|A| + 1, |B| + 1)`` table holds c_j * (1/sqrt(C(|A|, M-j)) *
-    1/sqrt(C(|B|, j))) at row M-j, column j, and one gather indexed by the
-    broadcast weight tensors of A and B fills the whole tensor. Each entry is
+    An amplitude depends only on the Hamming weights of its A and B parts,
+    so this table holds every amplitude of the split state. Each entry is
     the same product, summed in the same order, as in the per-term sum of
-    outer products c_j D_A (x) D_B, so the tensor equals it byte for byte.
+    outer products c_j D_A (x) D_B. A term whose weights lie outside
+    [0, |A|] x [0, |B|] raises ``ValueError``.
     """
     a_size, b_size = decomposition.a_size, decomposition.b_size
-    amplitude = np.zeros((a_size + 1, b_size + 1))
+    amplitude = np.zeros((a_size + 1, b_size + 1), dtype=complex)
     for t in decomposition.terms:
+        if not (0 <= t.a_excitations <= a_size and 0 <= t.j <= b_size):
+            raise ValueError(
+                f"term j={t.j}, a_excitations={t.a_excitations} lies outside "
+                f"the split sizes ({a_size}, {b_size})"
+            )
         d_a = 1.0 / math.sqrt(math.comb(a_size, t.a_excitations))
         d_b = 1.0 / math.sqrt(math.comb(b_size, t.j))
         amplitude[t.a_excitations, t.j] += t.coefficient * (d_a * d_b)
-    a_weights = _hamming_weights(a_size).reshape((2,) * a_size + (1,) * b_size)
-    return amplitude[a_weights, _hamming_weights(b_size)]
+    return amplitude
 
 
 def verify_decomposition(
@@ -274,16 +281,21 @@ def verify_decomposition(
     b_indices: Sequence[int],
     decomposition: DickeDecomposition,
 ) -> bool:
-    """Check that ``state`` equals sum_j c_j |D_A^{M-j}> (x) |D_B^{j}>.
+    """Check that ``state`` equals sum_j c_j |D_A^{M-j}> (x) |D_B^{j}>, where
+    A is the qubits ``a_indices`` and B the qubits ``b_indices``. The order
+    within A and within B does not matter.
 
-    A keeps the relative order of ``a_indices``; B follows. The expected
-    ``(2,) * n`` tensor is one gather from a table of amplitudes by the Hamming
-    weights of A and B (:func:`_split_tensor`); its axes are moved onto
-    ``a_indices + b_indices``, and every amplitude must agree within
-    ``DECOMPOSITION_ATOL``.
+    The expected amplitude of basis index i is entry (|B| + 1) * w_A + w_B
+    of the flattened :func:`_split_table`, with w_A and w_B the Hamming
+    weights of i's A bits and B bits. That key is a sum over i's set bits.
+    So the state is compared in blocks of ``DECOMPOSITION_BLOCK`` amplitudes,
+    in its own order: one key array serves the low bits of every block, and
+    each block's high bits add one offset. Every amplitude must agree within
+    ``DECOMPOSITION_ATOL``; the check returns False at the first block that
+    does not.
     """
-    a_indices = list(a_indices)
-    b_indices = list(b_indices)
+    a_indices = [_index(q) for q in a_indices]
+    b_indices = [_index(q) for q in b_indices]
     n = state.n_qubits
     if sorted(a_indices + b_indices) != list(range(n)):
         raise ValueError("a_indices and b_indices must partition the register")
@@ -292,5 +304,28 @@ def verify_decomposition(
             f"split sizes ({len(a_indices)}, {len(b_indices)}) do not match "
             f"decomposition sizes ({decomposition.a_size}, {decomposition.b_size})"
         )
-    expected = np.moveaxis(_split_tensor(decomposition), range(n), a_indices + b_indices)
-    return bool(np.all(np.abs(state.amplitudes.reshape((2,) * n) - expected) <= DECOMPOSITION_ATOL))
+    table = _split_table(decomposition).reshape(-1)
+    stride = decomposition.b_size + 1
+    a_mask = sum(1 << (n - 1 - q) for q in a_indices)  # qubit 0 is the top bit
+    amps = state.amplitudes
+    block = min(DECOMPOSITION_BLOCK, amps.size)
+    # The key of every in-block index, by doubling: the bit of value size
+    # adds stride if its qubit is in A, else 1.
+    key = np.zeros(block, dtype=np.intp)
+    size = 1
+    while size < block:
+        np.add(key[:size], stride if a_mask & size else 1, out=key[size:2 * size])
+        size *= 2
+    expected = np.empty(block, dtype=complex)
+    error = np.empty(block)
+    for start in range(0, amps.size, block):
+        high_a = (start & a_mask).bit_count()
+        offset = stride * high_a + start.bit_count() - high_a
+        # Keys are in range by construction; mode="raise" would write
+        # through a temporary copy of ``expected``.
+        np.take(table[offset:], key, out=expected, mode="clip")
+        np.subtract(amps[start:start + block], expected, out=expected)
+        np.abs(expected, out=error)
+        if not error.max() <= DECOMPOSITION_ATOL:  # a NaN fails too
+            return False
+    return True

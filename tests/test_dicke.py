@@ -1,7 +1,9 @@
 """Dicke-state construction and the exact bipartition combinatorics."""
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from dickesim import dicke, gates
 from dickesim.dicke import (
+    DECOMPOSITION_ATOL,
     BipartitionParams,
     DecompositionTerm,
     DickeDecomposition,
@@ -38,6 +41,12 @@ def permute_qubits(state, permutation):
     return StateVector(n, amps)
 
 
+def popcounts(n):
+    """Hamming weight of every n-bit basis string as a ``(2,) * n`` tensor."""
+    index = np.arange(1 << n)
+    return sum(((index >> q) & 1 for q in range(n)), np.zeros_like(index)).reshape((2,) * n)
+
+
 # ---------------------------------------------------------------------------
 # states
 
@@ -61,8 +70,7 @@ def test_dicke_state_matches_bit_count_loop():
     # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0.
     # n = 16, 17 and 20 sit on both sides of the popcount table's 16 bits.
     for n in [*range(15), 16, 17, 20]:
-        index = np.arange(1 << n)
-        popcount = sum(((index >> q) & 1 for q in range(n)), np.zeros_like(index))
+        popcount = popcounts(n)
         weights = dicke._hamming_weights(n)
         assert weights.shape == (2,) * n
         assert weights.tobytes() == popcount.astype(np.uint8).tobytes()
@@ -320,6 +328,18 @@ def test_pmax_equals_the_closed_form_on_every_small_instance():
         assert max_success_probability(params) == closed_form_pmax(params), params
 
 
+def test_pmax_of_one_added_excitation_with_one_qubit_out_of_reach():
+    # k = N - 1 and n' = m' = 1: pmax = M(N + 1) / (N(M + 1)), e.g. 5/6 for (4, 2)
+    count = 0
+    for n in range(2, 60):
+        for m in range(1, n):
+            params = BipartitionParams(n, m, n - 1, 1, 1)
+            assert max_success_probability(params) == Fraction(m * (n + 1), n * (m + 1)), params
+            count += 1
+    assert count == 1711
+    assert max_success_probability(BipartitionParams(4, 2, 3, 1, 1)) == Fraction(5, 6)
+
+
 def test_pmax_is_invariant_under_bit_flip_duality():
     # flipping every qubit swaps excitations with zeros, in the register and
     # among the added qubits, and maps each Dicke state onto its dual
@@ -362,13 +382,44 @@ def test_verify_rejects_bad_split():
         verify_decomposition(dicke_state(4, 2), (0, 1), (2, 3), decomposition)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 1.0])
+def test_verify_refuses_a_bool_or_float_qubit(bad):
+    source = decompose_source(BipartitionParams(**EXPANSION_CASE))
+    with pytest.raises(TypeError):
+        verify_decomposition(dicke_state(4, 2), (bad, 2, 0), (3,), source)
+    with pytest.raises(TypeError):
+        verify_decomposition(dicke_state(4, 2), (0, 2, 3), (bad,), source)
+    assert verify_decomposition(dicke_state(4, 2), np.arange(3), (np.int64(3),), source)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("j", 2), ("j", -1), ("a_excitations", 4), ("a_excitations", -1)])
+def test_verify_refuses_a_term_outside_its_split(field, value):
+    source = decompose_source(BipartitionParams(**EXPANSION_CASE))  # |A| = 3, |B| = 1
+    term = dataclasses.replace(source.terms[0], **{field: value})
+    outside = dataclasses.replace(source, terms=(term, *source.terms[1:]))
+    with pytest.raises(ValueError, match=f"term j={term.j}, a_excitations={term.a_excitations} "):
+        verify_decomposition(dicke_state(4, 2), (0, 1, 2), (3,), outside)
+
+
+def test_verify_peak_memory_is_bounded_at_18_qubits():
+    # the expected tensor alone would be 4 MiB; the check holds a few blocks
+    state = dicke_state(18, 9)
+    order = [int(q) for q in np.random.default_rng(18).permutation(18)]
+    decomposition = decompose_source(BipartitionParams(18, 9, 9))
+    tracemalloc.start()
+    try:
+        assert verify_decomposition(state, order[:9], order[9:], decomposition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**10
+
+
 def per_term_split_tensor(decomposition):
     """Reference: sum_j c_j D_A (x) D_B as one outer product per term."""
     def dicke_tensor(n, k):
-        index = np.arange(1 << n)
-        popcount = sum((index >> q) & 1 for q in range(n))
-        amplitudes = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
-        return amplitudes.reshape((2,) * n)
+        return np.where(popcounts(n) == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
 
     a_size, b_size = decomposition.a_size, decomposition.b_size
     expected = np.zeros((2,) * (a_size + b_size))
@@ -376,6 +427,16 @@ def per_term_split_tensor(decomposition):
         d_a, d_b = dicke_tensor(a_size, t.a_excitations), dicke_tensor(b_size, t.j)
         expected += t.coefficient * np.multiply.outer(d_a, d_b)
     return expected
+
+
+def dense_verify(state, a_indices, b_indices, decomposition):
+    """Reference check: the whole expected tensor, A's axes first, moved onto
+    the split, and one full-size difference."""
+    n = state.n_qubits
+    expected = np.moveaxis(
+        per_term_split_tensor(decomposition), range(n), [*a_indices, *b_indices])
+    return bool(np.all(
+        np.abs(state.amplitudes.reshape((2,) * n) - expected) <= DECOMPOSITION_ATOL))
 
 
 def test_split_tensor_equals_the_per_term_sum():
@@ -387,10 +448,14 @@ def test_split_tensor_equals_the_per_term_sum():
             (total, int(rng.integers(0, total + 1)), int(rng.integers(0, total + 1))))
     for total, excitations, accessible in instances:
         decomposition = decompose_source(BipartitionParams(total, excitations, accessible))
-        tensor = dicke._split_tensor(decomposition)
+        table = dicke._split_table(decomposition)
+        b_size = total - accessible
+        a_weights = popcounts(accessible).reshape((2,) * accessible + (1,) * b_size)
+        tensor = table[a_weights, popcounts(b_size)]
         expected = per_term_split_tensor(decomposition)
-        assert tensor.shape == expected.shape and tensor.dtype == expected.dtype
-        assert tensor.tobytes() == expected.tobytes(), (total, excitations, accessible)
+        assert tensor.shape == expected.shape and tensor.dtype == complex
+        assert tensor.tobytes() == expected.astype(complex).tobytes(), (
+            total, excitations, accessible)
 
         state = dicke_state(total, excitations)
         a, b = tuple(range(accessible)), tuple(range(accessible, total))
@@ -494,3 +559,64 @@ def test_verify_uses_the_split_it_is_given():
     assert verify_decomposition(state, (3, 1), (2, 0), decomposition)
     assert not verify_decomposition(state, (0, 1), (2, 3), decomposition)
     assert not verify_decomposition(state, (0, 2), (1, 3), decomposition)
+
+
+@st.composite
+def streamed_cases(draw):
+    """A split state on up to 14 qubits, checked against its own split and
+    a second shuffled one, with one amplitude nudged, one coefficient
+    nudged and two j's swapped. The state is a Dicke state with its
+    source decomposition, or sum_t c_t |D_A^{a_t}> |D_B^{j_t}> over random
+    distinct cells, which only its own split reproduces."""
+    n = draw(st.integers(1, 14))
+    a_size = draw(st.integers(0, n))
+    b_size = n - a_size
+    order = draw(st.permutations(range(n)))
+    other = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        excitations = draw(st.integers(0, n))
+        decomposition = decompose_source(BipartitionParams(n, excitations, a_size))
+        state = dicke_state(n, excitations)
+    else:
+        cells = draw(st.lists(
+            st.tuples(st.integers(0, a_size), st.integers(0, b_size)),
+            min_size=1, max_size=4, unique=True))
+        raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(cells), max_size=len(cells)))
+        norm = math.sqrt(sum(r * r for r in raw))
+        decomposition = DickeDecomposition(a_size, b_size, tuple(
+            DecompositionTerm(j, a, r / norm, Fraction(r / norm) ** 2)
+            for (a, j), r in zip(cells, raw)))
+        expected = np.moveaxis(per_term_split_tensor(decomposition), range(n), order)
+        state = StateVector(n, expected.reshape(-1))
+    amps = state.amplitudes.copy()
+    index = draw(st.integers(0, (1 << n) - 1))
+    # a real nudge of a nonzero amplitude could break the norm check
+    direction = draw(st.sampled_from((1j, -1j) if amps[index] else (1, -1, 1j, -1j)))
+    amps[index] += draw(st.sampled_from((0.5, 1.0, 2.0))) * DECOMPOSITION_ATOL * direction
+    nudged_state = StateVector(n, amps)
+    terms = decomposition.terms
+    step = draw(st.sampled_from((0.5, 1.0, 2.0, 1e3))) * DECOMPOSITION_ATOL
+    nudged = dataclasses.replace(terms[0], coefficient=terms[0].coefficient + step)
+    decompositions = [decomposition, dataclasses.replace(decomposition, terms=(nudged, *terms[1:]))]
+    if len(terms) > 1:
+        swapped = (dataclasses.replace(terms[0], j=terms[1].j),
+                   dataclasses.replace(terms[1], j=terms[0].j), *terms[2:])
+        decompositions.append(dataclasses.replace(decomposition, terms=swapped))
+    cases = [(s, order, d) for s in (state, nudged_state) for d in decompositions]
+    cases.append((state, other, decomposition))
+    return [(s, split[:a_size], split[a_size:], d) for s, split, d in cases]
+
+
+@pytest.mark.parametrize("block, examples", [
+    (1, 15), (1 << 3, 100), (dicke.DECOMPOSITION_BLOCK, 100)])
+def test_streamed_check_matches_the_dense_reference(block, examples):
+    # one amplitude per block walks all 2**n blocks in Python, so fewer examples
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @given(streamed_cases())
+    def check(cases):
+        for state, a, b, decomposition in cases:
+            assert verify_decomposition(state, a, b, decomposition) == dense_verify(
+                state, a, b, decomposition)
+
+    with mock.patch.object(dicke, "DECOMPOSITION_BLOCK", block):
+        check()
