@@ -35,38 +35,39 @@ def dicke_state(n: int, k: int) -> StateVector:
     if not 0 <= k <= n:
         raise ValueError(f"excitation count {k} outside [0, {n}]")
     amps = np.zeros(1 << n, dtype=complex)
-    amps.real[_hamming_weights(n).reshape(-1) == k] = 1.0 / math.sqrt(math.comb(n, k))
+    low = _popcount_table()[:amps.size]
+    value = 1.0 / math.sqrt(math.comb(n, k))
+    real = amps.real
+    # Rows of low.size <= 2**16 indices: a row's start has only high bits
+    # set, so its row holds the amplitude where the low bits' weight in the
+    # table is k minus the start's own.
+    for start in range(0, amps.size, low.size):
+        real[start:start + low.size][low == k - start.bit_count()] = value
     amps.flags.writeable = False
     return StateVector(n, amps)
+
+
+def _bit_sums(size: int, a_mask: int, stride: int) -> np.ndarray:
+    """``intp`` array over the indices 0 .. size - 1, size a power of two, of
+    the sum over each index's set bits of ``stride`` for a bit in ``a_mask``
+    and 1 for any other. Built by doubling: the sums of size .. 2 * size - 1
+    are those of 0 .. size - 1 plus the new top bit's."""
+    sums = np.zeros(size, dtype=np.intp)
+    filled = 1
+    while filled < size:
+        np.add(sums[:filled], stride if a_mask & filled else 1, out=sums[filled:2 * filled])
+        filled *= 2
+    return sums
 
 
 @functools.cache
 def _popcount_table() -> np.ndarray:
     """Hamming weight of every 16-bit integer 0 .. 2**16 - 1 (64 KiB of
-    ``uint8``), built once per process on first use by doubling: the weights
-    of 2**b .. 2**(b+1) - 1 are those of 0 .. 2**b - 1 plus one. Read-only,
-    as every caller shares it."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(16):
-        table = np.concatenate((table, table + 1))
+    ``uint8``), built once per process on first use by :func:`_bit_sums`.
+    Read-only, as every caller shares it."""
+    table = _bit_sums(1 << 16, 0, 1).astype(np.uint8)
     table.flags.writeable = False
     return table
-
-
-def _hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every n-bit basis string as a ``(2,) * n`` tensor of
-    ``uint8``.
-
-    For n <= 16 this is a read-only view of the first 2**n entries of the
-    popcount table, with no arithmetic. Above that, the weight of
-    ``high * 2**16 + low`` is the weight of ``high`` plus that of ``low``: one
-    ``np.add.outer`` of the (n - 16)-bit weights with the table. Nothing is
-    cached per n, so memory stays bounded whatever n callers ask for.
-    """
-    table = _popcount_table()
-    if n <= 16:
-        return table[:1 << n].reshape((2,) * n)
-    return np.add.outer(_hamming_weights(n - 16).reshape(-1), table).reshape((2,) * n)
 
 
 def w_state(n: int) -> StateVector:
@@ -309,13 +310,7 @@ def verify_decomposition(
     a_mask = sum(1 << (n - 1 - q) for q in a_indices)  # qubit 0 is the top bit
     amps = state.amplitudes
     block = min(DECOMPOSITION_BLOCK, amps.size)
-    # The key of every in-block index, by doubling: the bit of value size
-    # adds stride if its qubit is in A, else 1.
-    key = np.zeros(block, dtype=np.intp)
-    size = 1
-    while size < block:
-        np.add(key[:size], stride if a_mask & size else 1, out=key[size:2 * size])
-        size *= 2
+    key = _bit_sums(block, a_mask, stride)
     expected = np.empty(block, dtype=complex)
     error = np.empty(block)
     for start in range(0, amps.size, block):

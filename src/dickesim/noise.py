@@ -19,10 +19,10 @@ import numpy as np
 from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
 from .protocols import EXPANSION_LAYOUT, NOMINAL_INPUT, build_d4_to_d5_circuit
 from .sim import (
-    IMPOSSIBLE_BRANCH,
     NORM_ATOL,
     StateVector,
     _axis_index,
+    _check_branch,
     _check_normalized,
     _evolve,
     postselect,
@@ -208,8 +208,9 @@ def fidelity_sweep(
     made, the node matrices and states are checked as :class:`GateSpec` and
     ``StateVector`` check one, and the output norm is bounded at every angle
     in [-pi, pi] (:func:`_expansion_fit`). Post-selected, on every call,
-    every grid angle's flag-0 probability must be at least
-    ``IMPOSSIBLE_BRANCH``, with the message of a one-angle run.
+    the grid's smallest flag-0 probability goes through the check that
+    :func:`~dickesim.sim.postselect` makes, so every angle's probability
+    must be at least ``IMPOSSIBLE_BRANCH``, with the same message.
     """
     mode = FidelityMode(mode)
     thetas = np.asarray(theta_grid)
@@ -231,12 +232,7 @@ def fidelity_sweep(
     z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
         probs = _horner(branch_norm, z).real
-        low = int(np.argmin(probs))
-        if probs[low] < IMPOSSIBLE_BRANCH:
-            flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-            raise ValueError(
-                f"outcome 0 on qubit {flag} has probability {float(probs[low])!r}"
-            )
+        _check_branch(float(probs.min()), EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag), 0)
         overlap = branch_overlap
     else:
         probs = 1.0

@@ -78,7 +78,9 @@ class StateVector:
 
 def _check_normalized(amps: np.ndarray) -> None:
     """Raise unless every row of ``amps`` (shape ``(batch..., dim)``) is finite
-    with norm 1 within ``NORM_ATOL``; a batch names its first failing row.
+    with norm 1 within ``NORM_ATOL``; a batch names its first failing row. A
+    single state of shape ``(dim,)`` is a batch of one row, checked by the
+    same loop.
 
     Each norm is the square root of one dot product of the row's float view,
     compared as a Python float: on the 705,432 equal amplitudes of
@@ -87,9 +89,6 @@ def _check_normalized(amps: np.ndarray) -> None:
     makes its row's norm NaN or infinite, so finiteness is checked only when
     a norm fails, to name the cause."""
     f = amps.view(float)
-    # One state that passes, the common case, skips the row loop's overhead.
-    if f.ndim == 1 and abs(math.sqrt(f @ f) - 1.0) <= NORM_ATOL:
-        return
     for row in f.reshape(-1, f.shape[-1]):
         norm = math.sqrt(row @ row)
         if not abs(norm - 1.0) <= NORM_ATOL:
@@ -290,14 +289,19 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
     branch = _axis_index(state.n_qubits, [(qubit, outcome)])
     prob = float(np.sum(np.abs(psi[branch]) ** 2))
-    if prob < IMPOSSIBLE_BRANCH:
-        raise ValueError(
-            f"outcome {outcome} on qubit {qubit} has probability {prob!r}"
-        )
+    _check_branch(prob, qubit, outcome)
     amps = np.zeros(psi.size, dtype=complex)
     np.divide(psi[branch], math.sqrt(prob), out=amps.reshape(psi.shape)[branch])
     amps.flags.writeable = False
     return prob, StateVector(state.n_qubits, amps)
+
+
+def _check_branch(prob: float, qubit: int, outcome: int) -> None:
+    """Raise unless the branch ``qubit == outcome`` of probability ``prob``
+    can be renormalized: ``prob`` must be at least ``IMPOSSIBLE_BRANCH``. A
+    NaN fails the comparison, so it passes."""
+    if prob < IMPOSSIBLE_BRANCH:
+        raise ValueError(f"outcome {outcome} on qubit {qubit} has probability {prob!r}")
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

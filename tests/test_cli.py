@@ -524,8 +524,6 @@ def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):
     assert table.shape == (1 << 16,) and table.dtype == np.uint8
     with pytest.raises(ValueError):
         table[0] = 1
-    with pytest.raises(ValueError):
-        dicke._hamming_weights(4)[0, 0, 0, 0] = 1
 
 
 def test_warm_oracle_still_catches_a_broken_kernel(monkeypatch, capsys):

@@ -67,18 +67,39 @@ def test_dicke_zero_excitations():
 
 
 def test_dicke_state_matches_bit_count_loop():
-    # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0.
-    # n = 16, 17 and 20 sit on both sides of the popcount table's 16 bits.
-    for n in [*range(15), 16, 17, 20]:
+    # byte for byte; popcount by shifts, as np.bitwise_count needs numpy >= 2.0
+    assert dicke._popcount_table().tobytes() == popcounts(16).astype(np.uint8).tobytes()
+    # n = 17, 18 and 20 build 2, 4 and 16 rows of the 2**16-entry table
+    for n in [*range(1, 16), 16, 17, 18, 20]:
         popcount = popcounts(n)
-        weights = dicke._hamming_weights(n)
-        assert weights.shape == (2,) * n
-        assert weights.tobytes() == popcount.astype(np.uint8).tobytes()
-        if n:
-            for k in range(n + 1):
-                expected = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
-                amplitudes = dicke_state(n, k).amplitudes
-                assert amplitudes.tobytes() == expected.astype(complex).tobytes()
+        for k in range(n + 1):
+            expected = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
+            amplitudes = dicke_state(n, k).amplitudes
+            assert amplitudes.tobytes() == expected.astype(complex).tobytes()
+
+
+def test_dicke_state_peak_memory_is_the_state_and_one_row():
+    # no 2**n weight array: one 2**16 row comparison at a time
+    dicke._popcount_table()
+    tracemalloc.start()
+    try:
+        dicke_state(18, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**18 * 16 + 128 * 2**10
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("a_mask", [0, 0b1010110101, 0b1111111111])
+@pytest.mark.parametrize("size", [1 << b for b in range(11)])
+def test_bit_sums_match_a_per_bit_loop(size, a_mask, stride):
+    expected = [
+        sum(stride if a_mask >> b & 1 else 1 for b in range(size.bit_length()) if i >> b & 1)
+        for i in range(size)
+    ]
+    sums = dicke._bit_sums(size, a_mask, stride)
+    assert sums.dtype == np.intp and sums.tolist() == expected
 
 
 def test_dicke_22_11_passes_its_norm_check():
