@@ -17,7 +17,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,11 +39,12 @@ from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_sta
 # Upper limits on work requested from the command line; larger values exit 2
 # instead of running for hours or failing to allocate.
 MAX_SHOTS = 10**9  # sampling is one multinomial draw, the same cost at any count
-MAX_STEPS = 100_000  # end to end on 2 cores: about 0.3 s with CSV, 0.4 s with JSON
+MAX_STEPS = 100_000  # on 2 cores: about 0.3 s CSV, 0.4 s JSON end to end; peak about 6 MiB
 MAX_QUBITS = 5_000  # --total + --added; worst case about 1.2 s (decompose --added 1, M = k = N/2)
 
 
 _FLOAT_SPEC = ".12g"
+TABLE_CHUNK_ROWS = 64  # rows per rendered and written chunk of a Table
 
 
 def _fmt(x: float) -> str:
@@ -94,10 +95,10 @@ def _json_column(column: Sequence[Any]) -> list[str]:
 
 @dataclass(frozen=True)
 class Table:
-    """Cells under named columns, held as one sequence of cells per column,
-    all of one length; there is at least one column. Each format renders
-    all rows in one pass from a row template built once per table; floats
-    carry 12 significant digits in both."""
+    """Cells under named columns, one sequence or 1-D array per column, all
+    of one length; there is at least one column. Each format yields a header,
+    then runs of at most ``TABLE_CHUNK_ROWS`` rows, each rendered in one pass
+    from a row template; floats carry 12 significant digits in both."""
 
     names: tuple[str, ...]
     columns: Sequence[Sequence[Any]]
@@ -107,29 +108,31 @@ class Table:
         """The table of ``rows``, each one cell per name, transposed once."""
         return cls(tuple(names), [[row[i] for row in rows] for i in range(len(names))])
 
-    def csv(self) -> str:
-        """A header line, then one line per row: a float as ``_fmt`` writes
-        it, any other cell as ``str``."""
-        columns = list(self.columns)
-        fields = []
-        for i, column in enumerate(columns):
-            if _all_floats(column):
-                # The template formats a column of floats with _fmt's spec.
-                fields.append("%" + _FLOAT_SPEC)
-            else:
-                fields.append("%s")
-                columns[i] = [_fmt(v) if isinstance(v, float) else v for v in column]
-        row = ",".join(fields) + "\n"
-        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-        return ",".join(self.names) + "\n" + row * len(columns[0]) % cells
+    def _runs(self) -> Iterator[list[Sequence[Any]]]:
+        for start in range(0, len(self.columns[0]), TABLE_CHUNK_ROWS):
+            cells = [column[start : start + TABLE_CHUNK_ROWS] for column in self.columns]
+            yield [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
 
-    def json(self, indent: str, sort_keys: bool) -> str:
+    def csv(self) -> Iterator[str]:
+        """A header line, then one line per row: a float as ``_fmt`` writes it,
+        as does the ``%.12g`` field of an all-float run; any other cell as ``str``."""
+        yield ",".join(self.names) + "\n"
+        for columns in self._runs():
+            fields = []
+            for i, column in enumerate(columns):
+                if _all_floats(column):
+                    fields.append("%" + _FLOAT_SPEC)
+                else:
+                    fields.append("%s")
+                    columns[i] = [_fmt(v) if isinstance(v, float) else v for v in column]
+            row = ",".join(fields) + "\n"
+            cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+            yield row * len(columns[0]) % cells
+
+    def json(self, indent: str, sort_keys: bool) -> Iterator[str]:
         """The rows as the array of records, column to cell, that
         ``json.dumps(..., indent=2, sort_keys=sort_keys)`` writes for a list
         whose line starts with ``indent``."""
-        n_rows = len(self.columns[0])
-        if not n_rows:
-            return "[]"
         # Each key's last column, in the order a dict built from the row keeps.
         last = {c: i for i, c in enumerate(self.names)}
         keys = sorted(last) if sort_keys else list(last)
@@ -137,20 +140,24 @@ class Table:
             f"{indent}    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
         )
         row = f"{indent}  {{\n{fields}\n{indent}  }}"
-        texts = [_json_column(self.columns[last[k]]) for k in keys]
-        cells = tuple(itertools.chain.from_iterable(zip(*texts)))
-        return "[\n" + ",\n".join([row] * n_rows) % cells + f"\n{indent}]"
+        opening = "[\n"
+        for columns in self._runs():
+            texts = [_json_column(columns[last[k]]) for k in keys]
+            cells = tuple(itertools.chain.from_iterable(zip(*texts)))
+            yield opening + ",\n".join([row] * len(texts[0])) % cells
+            opening = ",\n"
+        yield "[]" if opening == "[\n" else f"\n{indent}]"  # json.dumps's empty list
 
 
-def _render_json(report: Any, sort_keys: bool) -> str:
+def _render_json(report: Any, sort_keys: bool) -> Iterator[str]:
     """``report`` as ``json.dumps(report, indent=2, sort_keys=sort_keys)``
     writes it, each Table in it as its array of records, and a final newline.
 
-    json.dumps's ``default`` hook writes each Table as a one-NUL string, the
-    slot ``"\\u0000"``, and lists the tables in output order; each table's
-    text is then spliced in at its slot's indentation. No string of the
-    report outside its tables may hold NUL (none does: command lines cannot
-    carry it).
+    json.dumps's ``default`` hook writes each Table as a one-NUL string, the slot
+    ``"\\u0000"``, and lists the tables in output order, at the call. The chunks are
+    the text between slots and, at each slot, its table's chunks at the slot line's
+    indentation, rendered as read. No string of the report outside its tables may
+    hold NUL (command lines cannot carry it).
     """
     tables: list[Table] = []
 
@@ -161,11 +168,11 @@ def _render_json(report: Any, sort_keys: bool) -> str:
         return "\0"
 
     pieces = json.dumps(report, indent=2, sort_keys=sort_keys, default=slot).split('"\\u0000"')
-    for i, table in enumerate(tables):
-        line = pieces[i][pieces[i].rfind("\n") + 1:]
-        indent = line[: len(line) - len(line.lstrip(" "))]
-        pieces[i] += table.json(indent, sort_keys)
-    return "".join(pieces) + "\n"
+    chunks: list[Iterable[str]] = []
+    for piece, table in zip(pieces, tables):
+        line = piece[piece.rfind("\n") + 1:]
+        chunks += [(piece,), table.json(line[: len(line) - len(line.lstrip(" "))], sort_keys)]
+    return itertools.chain(*chunks, (pieces[-1] + "\n",))
 
 
 # renameat2(2) arguments, from <fcntl.h> and <linux/fs.h>.
@@ -198,29 +205,39 @@ def _exchange(a: str, b: str) -> bool:
     ) == 0
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    """Write to --out atomically, or to stdout when no path is given.
+def _write_chunks(fd: int, chunks: Iterable[str]) -> None:
+    """Write each chunk to ``fd`` as UTF-8, finishing short writes, then close ``fd``."""
+    try:
+        for data in map(memoryview, map(str.encode, chunks)):
+            while data:
+                data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
-    The text goes to a new ``.dickesim-*`` file beside --out. An existing
-    --out is swapped with it in one Linux ``renameat2(RENAME_EXCHANGE)``
-    call, and the temporary name, which then holds the old file, is unlinked;
-    a fresh path, other systems and a refused exchange take ``os.replace``
-    instead. Readers see the whole old file or the whole new one. A crash
-    between the exchange and the unlink can leave one ``.dickesim-*`` file,
-    which holds the old content. Anything else at --out is opened in place: a
-    FIFO or a device is written into, and a directory fails the open with
-    ``IsADirectoryError`` naming --out before anything is written.
+
+def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one at a time to --out atomically, as UTF-8, or to stdout.
+
+    They stream into a new ``.dickesim-*`` file beside --out, unlinked if a
+    chunk fails to render. An existing --out is swapped with it in one Linux
+    ``renameat2(RENAME_EXCHANGE)`` call, and the temporary name, which then
+    holds the old file, is unlinked; a fresh path, other systems and a refused
+    exchange take ``os.replace`` instead. Readers see the whole old file or
+    the whole new one. A crash between the exchange and the unlink can leave
+    one ``.dickesim-*`` file, which holds the old content. Anything else at
+    --out is opened in place: a FIFO or a device is written into, and a
+    directory fails the open with ``IsADirectoryError`` naming --out before
+    anything is written.
     """
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         mode = os.stat(args.out).st_mode
     except OSError:  # a fresh path; the open below reports any other fault
         mode = 0
     if mode and not stat.S_ISREG(mode):
-        with os.fdopen(os.open(args.out, os.O_WRONLY), "w") as handle:
-            handle.write(text)
+        _write_chunks(os.open(args.out, os.O_WRONLY), chunks)
         return
     directory = os.path.dirname(os.path.abspath(args.out))
     tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
@@ -231,8 +248,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
         # Name the path the user gave, not the temporary file.
         raise OSError(exc.errno, exc.strerror, args.out) from None
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        _write_chunks(fd, chunks)
         if not _exchange(tmp_path, args.out):
             os.replace(tmp_path, args.out)
             return
@@ -254,10 +270,10 @@ def _parameters(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in vars(args).items() if k not in shared}
 
 
-def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
-    """Write the run report for --format json, otherwise ``text``; only the
-    requested form is rendered. An identical command line reproduces the
-    report bit for bit."""
+def _emit(args: argparse.Namespace, outputs: Any, chunks: Iterable[str] | Table) -> None:
+    """Write the run report for --format json, otherwise ``chunks``, a
+    Table as CSV; only the requested form is rendered, as it is written. An
+    identical command line reproduces the report bit for bit."""
     if args.format == "json":
         report = {
             "command": args.command,
@@ -265,10 +281,8 @@ def _emit(args: argparse.Namespace, outputs: Any, text: str | Table) -> None:
             "outputs": outputs,
             "tool_version": __version__,
         }
-        text = _render_json(report, sort_keys=True)
-    elif isinstance(text, Table):
-        text = text.csv()
-    _write(args, text)
+        chunks = _render_json(report, sort_keys=True)
+    _write(args, chunks.csv() if isinstance(chunks, Table) else chunks)
 
 
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -292,7 +306,7 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             for g in circuit.gates
         ]
         outputs = {"qubits": list(circuit.qubit_labels), "gates": gates}
-        _emit(args, outputs, format_circuit(circuit))
+        _emit(args, outputs, (format_circuit(circuit),))
         return 0
     states = {
         "w3": lambda: w_state(3),
@@ -304,7 +318,7 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     indices = range(len(amps))
     table = Table(
         ("index", "bitstring", "re", "im"),
-        [indices, [state.bitstring(i) for i in indices], amps.real.tolist(), amps.imag.tolist()],
+        [indices, [state.bitstring(i) for i in indices], amps.real, amps.imag],
     )
     _emit(args, {"n_qubits": state.n_qubits, "amplitudes": table}, table)
     return 0
@@ -360,7 +374,7 @@ def cmd_pmax(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     probability = max_success_probability(params)
     fraction = f"{probability.numerator}/{probability.denominator}"
     outputs = {"fraction": fraction, "decimal": float(_fmt(float(probability)))}
-    _emit(args, outputs, f"{fraction} ≈ {float(probability):.6f}\n")
+    _emit(args, outputs, (f"{fraction} ≈ {float(probability):.6f}\n",))
     return 0
 
 
@@ -396,7 +410,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         fidelities = fidelity_sweep(grid, mode=args.mode)
     except ValueError as exc:
         parser.error(str(exc))
-    table = Table(("theta", "fidelity"), [grid.tolist(), fidelities.tolist()])
+    table = Table(("theta", "fidelity"), [grid, fidelities])
     _emit(args, {"rows": table}, table)
     return 0
 

@@ -120,7 +120,7 @@ class GateSpec:
             raise ValueError("qubit indices must be non-negative")
         if target in controls:
             raise ValueError(f"target qubit {target} is also a control")
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = np.array(self.matrix, dtype=complex, order="C")  # for the view(float) below
         if matrix.shape != (2, 2):
             raise ValueError(f"target matrix must be 2x2, got {matrix.shape}")
         _check_target_matrix(matrix)

@@ -231,10 +231,11 @@ def fidelity_sweep(
     # it, and the copy is sliced off.
     z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
-        probs = _horner(branch_norm, z).real
+        probs = _horner(branch_norm, z).real.copy()  # frees the complex accumulator
         _check_branch(float(probs.min()), EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag), 0)
         overlap = branch_overlap
     else:
         probs = 1.0
-    fidelities = np.abs(_horner(overlap, z)) ** 2 / probs
+    fidelities = np.abs(_horner(overlap, z))
+    np.divide(np.square(fidelities, out=fidelities), probs, out=fidelities)  # ** 2 is np.square
     return fidelities[: thetas.size]

@@ -487,19 +487,21 @@ def test_warm_checks_peak_memory_stays_small(fresh_references):
 
 
 def test_warm_sweep_peak_memory_at_scale(tmp_path):
-    # 20,000 angles go from two float columns straight into the CSV text
-    # (about 3 MiB at peak); regrouping them into row tuples costs 1.3 MiB more
+    # 20,000 angles are rendered and written 64 rows at a time, so the peak is
+    # the sweep's own arrays (about 1.1 MiB); a renderer that built the whole
+    # text would peak at 3.0 MiB with CSV and 7.9 MiB with JSON
     import tracemalloc
 
-    argv = ["sweep", "--steps", "20000", "--out", str(tmp_path / "sweep.csv")]
-    assert run_cli(argv) == 0
-    tracemalloc.start()
-    try:
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--steps", "20000", "--format", fmt, "--out", str(tmp_path / "sweep")]
         assert run_cli(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, fmt
 
 
 def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):
@@ -647,7 +649,7 @@ def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, path, monke
     else:
         monkeypatch.setattr(os, "replace", None)  # an existing file is never renamed over
     for text in ("x" * 10_000 + "\n", "p ≈ 5/6\n"):
-        cli._write(argparse.Namespace(out=str(out)), text)
+        cli._write(argparse.Namespace(out=str(out)), (text,))
         assert out.read_text() == text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
@@ -660,7 +662,7 @@ def test_out_symlink_is_replaced_and_its_target_untouched(tmp_path, path, monkey
     target.write_text("target\n")
     out = tmp_path / "out.txt"
     out.symlink_to(target)
-    cli._write(argparse.Namespace(out=str(out)), "new\n")
+    cli._write(argparse.Namespace(out=str(out)), ("new\n",))
     assert not out.is_symlink()
     assert out.read_text() == "new\n"
     assert target.read_text() == "target\n"
@@ -675,7 +677,7 @@ def test_hard_linked_sibling_keeps_the_old_content(tmp_path, path, monkeypatch):
     out.write_text("old\n")
     sibling = tmp_path / "sibling.txt"
     os.link(out, sibling)
-    cli._write(argparse.Namespace(out=str(out)), "new\n")
+    cli._write(argparse.Namespace(out=str(out)), ("new\n",))
     assert out.read_text() == "new\n"
     assert sibling.read_text() == "old\n"
     assert sibling.stat().st_nlink == 1
@@ -807,16 +809,17 @@ _reports = st.dictionaries(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_reports, st.booleans())
 def test_reports_render_byte_for_byte_as_through_records(report, sort_keys):
-    assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
+    assert "".join(cli._render_json(report, sort_keys)) == _reference_json(report, sort_keys)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_tables)
 def test_a_table_renders_alone_and_nested(table):
-    assert table.csv() == _reference_csv(table)
+    assert "".join(table.csv()) == _reference_csv(table)
     for report in (table, {"rows": table}, [{"a": [table, 1]}, {"b": {"c": table}}]):
         for sort_keys in (True, False):
-            assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
+            rendered = "".join(cli._render_json(report, sort_keys))
+            assert rendered == _reference_json(report, sort_keys)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -827,9 +830,95 @@ def test_a_table_renders_alone_and_nested(table):
 def test_an_all_float_column_renders_as_cell_by_cell(column, sort_keys):
     # the one-pass column format, with every irregular cell among regular ones
     table = cli.Table(("theta", "fidelity"), [column, column[::-1]])
-    assert table.csv() == _reference_csv(table)
+    assert "".join(table.csv()) == _reference_csv(table)
     report = {"rows": table}
-    assert cli._render_json(report, sort_keys) == _reference_json(report, sort_keys)
+    assert "".join(cli._render_json(report, sort_keys)) == _reference_json(report, sort_keys)
+
+
+def _run_lengths(n_rows):
+    """The row count of each chunk after the header."""
+    full, rest = divmod(n_rows, cli.TABLE_CHUNK_ROWS)
+    return [cli.TABLE_CHUNK_ROWS] * full + [rest] * bool(rest)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 128, 129])
+def test_tables_render_in_runs_as_one_whole(n_rows):
+    # Array columns, strided views among them, as cmd_prepare passes them,
+    # with irregular floats on both sides of each run boundary.
+    amps = np.random.default_rng(n_rows).normal(size=(n_rows, 2)) @ [1, 1j]
+    amps.real[::5] = np.resize([1.0, -0.0, 1e-5, 1e16, math.nan, -math.inf, 2.5], n_rows)[::5]
+    table = cli.Table(("index", "label", "re", "im"),
+                      [range(n_rows), [f"q{i}" for i in range(n_rows)], amps.real, amps.imag])
+    listed = cli.Table(table.names, [list(range(n_rows)), table.columns[1],
+                                     amps.real.tolist(), amps.imag.tolist()])
+    chunks = list(table.csv())
+    assert [c.count("\n") for c in chunks] == [1, *_run_lengths(n_rows)]
+    assert "".join(chunks) == "".join(listed.csv()) == _reference_csv(listed)
+    for sort_keys in (True, False):
+        rendered = "".join(cli._render_json({"rows": table}, sort_keys))
+        assert rendered == "".join(cli._render_json({"rows": listed}, sort_keys))
+        assert rendered == _reference_json({"rows": listed}, sort_keys)
+
+
+@pytest.mark.parametrize("odd", [7, None, "x", True], ids=["int", "none", "str", "bool"])
+def test_a_float_column_with_one_odd_cell_in_a_later_run(odd):
+    # Every run but the third is all floats and goes through the float template.
+    column = [i / 3 for i in range(2 * cli.TABLE_CHUNK_ROWS + 5)]
+    column[2 * cli.TABLE_CHUNK_ROWS + 2] = odd
+    table = cli.Table(("theta", "fidelity"), [column, column[::-1]])
+    assert "".join(table.csv()) == _reference_csv(table)
+    for sort_keys in (True, False):
+        report = {"rows": table}
+        assert "".join(cli._render_json(report, sort_keys)) == _reference_json(report, sort_keys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--steps", "300", "--format", "json"], ["pmax", *_PAPER]],
+    ids=["sweep", "pmax"],
+)
+def test_short_writes_are_finished(tmp_path, monkeypatch, argv):
+    # At most 7 bytes a call, which splits pmax's three-byte UTF-8 "≈" too.
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    assert run_cli([*argv, "--out", str(whole)]) == 0
+    real_write = os.write
+    calls = []
+
+    def write_seven(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", write_seven)
+    for _ in range(2):  # a fresh path, then an existing file
+        assert run_cli([*argv, "--out", str(short)]) == 0
+        assert short.read_bytes() == whole.read_bytes()
+    assert len(calls) >= 2 * len(whole.read_bytes()) / 7
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short", "whole"]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "fresh"])
+def test_a_render_error_in_a_late_chunk_leaves_out_untouched(tmp_path, existing):
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_bytes(b"old \xe2\x89\x88\n" * 100)
+    column = [0.5] * (3 * cli.TABLE_CHUNK_ROWS)
+    column[-1] = object()  # not JSON serializable, in the last run
+    rendered = []
+
+    def recorded(chunks):
+        for chunk in chunks:
+            rendered.append(chunk)
+            yield chunk
+
+    report = cli._render_json({"rows": cli.Table(("x",), [column])}, sort_keys=True)
+    with pytest.raises(TypeError, match="type object is not JSON serializable"):
+        cli._write(argparse.Namespace(out=str(out)), recorded(report))
+    assert len(rendered) >= 3  # the first runs were written before the error
+    if existing:
+        assert out.read_bytes() == b"old \xe2\x89\x88\n" * 100
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    else:
+        assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import gates
+from dickesim import gates, sim
 from dickesim.dicke import BipartitionParams, dicke_state
 from dickesim.gates import (
     CircuitProgram,
@@ -88,6 +88,40 @@ def test_gatespec_stores_numpy_integer_qubits_as_int():
     gate = GateSpec((np.int64(2), np.uint8(1)), np.int32(0), gates.X_MATRIX)
     assert gate.controls == (2, 1) and gate.target == 0
     assert all(type(q) is int for q in gate.qubits)
+
+
+def _layouts(m):
+    """``m`` in other memory layouts, each holding the same values."""
+    wide = np.zeros((4, 4), dtype=complex)
+    wide[::2, ::2] = m
+    read_only = m.copy()
+    read_only.flags.writeable = False
+    return {
+        "fortran": np.asfortranarray(m),
+        "transposed view": np.ascontiguousarray(m.T).T,
+        "reversed": m[::-1, ::-1].copy()[::-1, ::-1],
+        "strided": wide[::2, ::2],
+        "read-only": read_only,
+        "big-endian": m.astype(">c16"),
+        "list": m.tolist(),
+    }
+
+
+@pytest.mark.parametrize("matrix", [rx_matrix(0.3), ry_matrix(0.3).T, rx_matrix(0.3).conj().T],
+                         ids=["rx", "ry transposed", "rx adjoint"])
+def test_gatespec_takes_any_matrix_layout(matrix):
+    # ry_matrix(0.3).T and an adjoint U.conj().T are Fortran-ordered views.
+    reference = GateSpec((0,), 1, np.ascontiguousarray(matrix))
+    state = StateVector(2, np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+
+    def output(gate):
+        circuit = CircuitProgram(2, (gates.h(0), gate), ("a", "b"))
+        return sim.apply_circuit(state, circuit).amplitudes.tobytes()
+
+    for layout, m in {"given": matrix, **_layouts(matrix)}.items():
+        gate = GateSpec((0,), 1, m)
+        assert gate.matrix.tobytes() == reference.matrix.tobytes(), layout
+        assert output(gate) == output(reference), layout
 
 
 def test_gatespec_rejects_nonunitary_matrix():

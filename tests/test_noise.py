@@ -262,6 +262,28 @@ def test_one_angle_sweep_equals_that_angle_in_any_grid(grid, data):
         assert alone.hex() == inside.hex()
 
 
+def _sweep_with_temporaries(grid, mode):
+    """fidelity_sweep's arithmetic with a fresh array for every step, as in
+    ``np.abs(overlap) ** 2 / probs``."""
+    branch_norm, overlap, branch_overlap = noise._expansion_fit()
+    thetas = np.asarray(grid, dtype=float)
+    z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
+    probs = 1.0
+    if FidelityMode(mode) is FidelityMode.POST_SELECTED_SUCCESS:
+        probs = noise._horner(branch_norm, z).real
+        overlap = branch_overlap
+    return (np.abs(noise._horner(overlap, z)) ** 2 / probs)[: thetas.size]
+
+
+@pytest.mark.parametrize("mode", list(FidelityMode))
+def test_sweep_in_place_arithmetic_keeps_every_bit(mode):
+    rng = np.random.default_rng(3101)
+    for size in (1, 2, 3, 226, 4097):
+        grid = rng.uniform(-math.pi, math.pi, size)
+        expected = _sweep_with_temporaries(grid, mode)
+        assert fidelity_sweep(grid, mode=mode).tobytes() == expected.tobytes()
+
+
 def test_sweep_at_max_steps_matches_per_angle_runs():
     grid = np.linspace(-math.pi, math.pi, 100_000)
     picked = np.random.default_rng(1009).choice(len(grid), 20, replace=False)
