@@ -26,11 +26,14 @@ X_MATRIX.flags.writeable = False
 
 
 def _index(value) -> int:
-    """``operator.index(value)``: takes ints and numpy integers and refuses
-    floats, and refuses ``bool`` and ``numpy.bool_`` too."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+    """``operator.index(value)``: takes ints and numpy integers. Anything else,
+    ``bool`` and ``numpy.bool_`` included, raises ``TypeError`` with one message."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{value!r} cannot be interpreted as an integer")
 
 
 def rx_matrix(theta: float) -> np.ndarray:

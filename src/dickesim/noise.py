@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .dicke import dicke_state
 from .gates import CircuitProgram, GateSpec, _check_target_matrix, rx_matrix
-from .protocols import EXPANSION_LAYOUT, NOMINAL_INPUT, build_d4_to_d5_circuit
+from .protocols import FLAG_QUBIT, _expansion_input, build_d4_to_d5_circuit
 from .sim import (
     NORM_ATOL,
     StateVector,
@@ -138,7 +139,7 @@ def _norm_polynomial(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 @functools.cache
 def _expansion_fit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit the paper's instance once per process, on the first call: the
-    noisy expansion of ``NOMINAL_INPUT`` as polynomials in
+    noisy expansion of D(4,2) with |00> ancillas as polynomials in
     ``z = exp(i theta / 2)``, returned as ``(branch_norm, overlap,
     branch_overlap)``: the squared norm of its flag-0 branch
     (:func:`_norm_polynomial`), and the overlap coefficients with the ideal
@@ -146,20 +147,20 @@ def _expansion_fit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     read-only, as it is shared by every later call.
 
     Runs :func:`_fourier_coefficients` on ``build_d4_to_d5_circuit()`` and
-    ``NOMINAL_INPUT``, so the node matrices and states are checked then; the
-    post-selected ideal goes through :func:`postselect`.
+    that input, built on this call, so the node matrices and states are
+    checked then; the post-selected ideal goes through :func:`postselect`.
 
     The output norm is checked here, once for every angle: on ``|z| = 1`` its
     square ``Re sum_d p_d z^d`` lies within ``s = sum_{d >= 1} |p_d|`` of
     ``Re p_0``, so the norms at both ends must be 1 within ``NORM_ATOL``, as
     a state's are; the message names the end farther from 1. A NaN fit fails.
     """
-    n = NOMINAL_INPUT.n_qubits
-    flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-    m, a, ideal = _fourier_coefficients(build_d4_to_d5_circuit(), NOMINAL_INPUT)
+    source = _expansion_input(dicke_state(4, 2))
+    n = source.n_qubits
+    m, a, ideal = _fourier_coefficients(build_d4_to_d5_circuit(), source)
     ideal = StateVector(n, ideal)
-    _, selected = postselect(ideal, flag, 0)
-    branch = a.reshape((len(a),) + (2,) * n)[_axis_index(n, [(flag, 0)])]
+    _, selected = postselect(ideal, FLAG_QUBIT, 0)
+    branch = a.reshape((len(a),) + (2,) * n)[_axis_index(n, [(FLAG_QUBIT, 0)])]
     norm = _norm_polynomial(m, a)
     center, spread = float(norm[0].real), float(np.abs(norm[1:]).sum())
     # A negative end is clipped to norm 0, which fails as well; max keeps NaN.
@@ -191,7 +192,7 @@ def fidelity_sweep(
     :class:`FidelityMode` or its string value; an unknown one raises
     ``ValueError``.
 
-    The input is always ``protocols.NOMINAL_INPUT``, D(4,2) with |00> ancillas.
+    The input is always D(4,2) with |00> ancillas.
     PRE_MEASUREMENT compares the full 6-qubit outputs; POST_SELECTED_SUCCESS
     compares the renormalized flag-0 branches. Both give fidelity 1 at
     theta = 0. Returns one float64 array of fidelities in grid order.
@@ -232,7 +233,7 @@ def fidelity_sweep(
     z = np.exp(0.5j * (thetas.repeat(2) if thetas.size == 1 else thetas))
     if mode is FidelityMode.POST_SELECTED_SUCCESS:
         probs = _horner(branch_norm, z).real.copy()  # frees the complex accumulator
-        _check_branch(float(probs.min()), EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag), 0)
+        _check_branch(float(probs.min()), FLAG_QUBIT, 0)
         overlap = branch_overlap
     else:
         probs = 1.0

@@ -13,10 +13,11 @@ Measuring the flag decides the run: outcome 0 (probability 5/6) leaves
 (d1,d2,d3,d4,a1) in the five-qubit Dicke state; outcome 1 leaves a W-like
 remnant on (d1,d2,d3) that can be recycled, with d4 and a1 separable.
 
-Each circuit is built and validated once per process, on the first call of
-its builder; every later call returns that same immutable object. The
-nominal input's pre-measurement state and its outcome distribution are
-likewise computed once per process, on the first ``run_protocol_stats`` call.
+The expansion register is recorded once, in ``EXPANSION_LAYOUT``, and nothing
+is built at import. Each circuit is built and validated once per process, on
+the first call of its builder; every later call returns that same immutable
+object. The expansion's output on D(4,2) with |00> ancillas, and its outcome
+distribution, are computed on the first ``run_protocol_stats`` call.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import gates
 from .dicke import dicke_state
 from .gates import CircuitProgram, _index
-from .sim import StateVector, apply_circuit, new_basis_state, postselect, tensor
+from .sim import StateVector, _axis_index, apply_circuit, new_basis_state, postselect, tensor
 
 # |0> -> sqrt(2/3)|0> + sqrt(1/3)|1> seeds the three-term superposition.
 W3_ROTATION_ANGLE = 2.0 * math.acos(1.0 / math.sqrt(3.0))
@@ -39,20 +40,13 @@ W3_ROTATION_ANGLE = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 class RegisterLayout:
     """Labeled register of the restricted-access expansion circuit."""
 
-    labels: tuple[str, ...] = ("d1", "d2", "d3", "d4", "a1", "a2")
+    qubit_labels: tuple[str, ...] = ("d1", "d2", "d3", "d4", "a1", "a2")
     flag: str = "a2"
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown qubit label {label!r}") from None
+    index = CircuitProgram.qubit_index  # the same lookup over qubit_labels
 
 
 EXPANSION_LAYOUT = RegisterLayout()
-
-# The nominal input of the expansion circuit: D(4,2) with |00> ancillas.
-NOMINAL_INPUT = tensor(dicke_state(4, 2), new_basis_state(2, "00"))
+FLAG_QUBIT = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
 
 
 @functools.cache
@@ -107,7 +101,7 @@ def build_d4_to_d5_circuit() -> CircuitProgram:
     disjoint single-qubit gates and expand to one record per factor. Steps
     G10 and G18 repeat G8. No gate touches d4.
     """
-    d1, d2, d3, a1, a2 = 0, 1, 2, 4, 5
+    d1, d2, d3, a1, a2 = map(EXPANSION_LAYOUT.index, ("d1", "d2", "d3", "a1", "a2"))
     steps = (
         gates.h(a1, "G1"),
         gates.x(a1, "G2"),
@@ -139,7 +133,8 @@ def build_d4_to_d5_circuit() -> CircuitProgram:
         gates.ccnot(d1, a2, d3, "G23"),
         gates.x(d1, "G24"),
     )
-    return CircuitProgram(6, steps, EXPANSION_LAYOUT.labels)
+    labels = EXPANSION_LAYOUT.qubit_labels
+    return CircuitProgram(len(labels), steps, labels)
 
 
 def verify_untouched(circuit: CircuitProgram, label: str) -> bool:
@@ -156,12 +151,16 @@ def _phase_anchored(vec: np.ndarray) -> StateVector:
     return StateVector(vec.size.bit_length() - 1, vec)
 
 
-def expansion_premeasurement(state: StateVector) -> StateVector:
-    """Append |00> ancillas and run the expansion circuit (no measurement)."""
+def _expansion_input(state: StateVector) -> StateVector:
+    """A 4-qubit ``state`` on (d1, d2, d3, d4) with |00> on (a1, a2) appended."""
     if state.n_qubits != 4:
         raise ValueError(f"expansion input must have 4 qubits, got {state.n_qubits}")
-    full = tensor(state, new_basis_state(2, "00"))
-    return apply_circuit(full, build_d4_to_d5_circuit())
+    return tensor(state, new_basis_state(2, "00"))
+
+
+def expansion_premeasurement(state: StateVector) -> StateVector:
+    """Append |00> ancillas and run the expansion circuit (no measurement)."""
+    return apply_circuit(_expansion_input(state), build_d4_to_d5_circuit())
 
 
 def run_expansion(state: StateVector, outcome: int) -> tuple[float, StateVector]:
@@ -169,8 +168,8 @@ def run_expansion(state: StateVector, outcome: int) -> tuple[float, StateVector]
     the flag on ``outcome``: 0 is the success branch, 1 the failure branch.
 
     Returns ``(probability, branch)`` as :func:`sim.postselect` does, with
-    ``branch`` the renormalized 5-qubit state on (d1, d2, d3, d4, a1). Raises ``ValueError`` if that branch is impossible for this input.
-    """
+    ``branch`` the renormalized 5-qubit state on (d1, d2, d3, d4, a1), and
+    raises ``ValueError`` if that branch is impossible for this input."""
     return _expansion_branch(expansion_premeasurement(state), outcome)
 
 
@@ -181,10 +180,10 @@ def _expansion_branch(pre: StateVector, outcome: int) -> tuple[float, StateVecto
 
     Raises ``ValueError`` if that branch is impossible for this state.
     """
-    flag = EXPANSION_LAYOUT.index(EXPANSION_LAYOUT.flag)
-    probability, collapsed = postselect(pre, flag, outcome)
-    # The flag is the last qubit, so its branch is every other amplitude.
-    return probability, StateVector(5, collapsed.amplitudes[outcome::2])
+    n = pre.n_qubits
+    probability, collapsed = postselect(pre, FLAG_QUBIT, outcome)
+    branch = collapsed.amplitudes.reshape((2,) * n)[_axis_index(n, [(FLAG_QUBIT, outcome)])]
+    return probability, StateVector(n - 1, branch.ravel())
 
 
 def split_failure(branch: StateVector) -> tuple[StateVector, StateVector, float]:
@@ -232,9 +231,9 @@ class ProtocolStats:
 
 @functools.cache
 def _nominal_distribution() -> tuple[StateVector, np.ndarray]:
-    """The expansion circuit's output on ``NOMINAL_INPUT`` and its Born
-    probabilities, normalized and read-only; computed on the first call."""
-    pre = apply_circuit(NOMINAL_INPUT, build_d4_to_d5_circuit())
+    """The expansion circuit's output on D(4,2) with |00> ancillas and its
+    Born probabilities, normalized and read-only; computed on the first call."""
+    pre = expansion_premeasurement(dicke_state(4, 2))
     probs = np.abs(pre.amplitudes) ** 2
     # Normalized within NORM_ATOL only; multinomial rejects a sum above 1.
     probs /= probs.sum()
@@ -264,5 +263,5 @@ def run_protocol_stats(shots: int, seed: int) -> ProtocolStats:
     pre, probs = _nominal_distribution()
     totals = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, probs)
     counts = {pre.bitstring(int(i)): int(totals[i]) for i in np.flatnonzero(totals)}
-    # The flag is the last bit, so flag-0 outcomes are the even indices.
-    return ProtocolStats(shots=shots, successes=int(totals[::2].sum()), counts=counts)
+    flag_zero = totals.reshape((2,) * pre.n_qubits)[_axis_index(pre.n_qubits, [(FLAG_QUBIT, 0)])]
+    return ProtocolStats(shots=shots, successes=int(flag_zero.sum()), counts=counts)

@@ -111,10 +111,15 @@ def new_basis_state(n_qubits: int, bits: str) -> StateVector:
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product with ``a``'s qubits first (most significant)."""
+    """Tensor product with ``a``'s qubits first (most significant). The
+    factors' norm errors add up, so a product whose norm misses 1 by more than
+    ``NORM_ATOL`` is divided by its norm; any other keeps its bits."""
     a_amps, b_amps = a.amplitudes, b.amplitudes
     amps = np.empty(a_amps.size * b_amps.size, dtype=complex)
     np.multiply.outer(a_amps, b_amps, out=amps.reshape(a_amps.size, b_amps.size))
+    norm = math.sqrt(amps.view(float) @ amps.view(float))
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        amps /= norm
     amps.flags.writeable = False
     return StateVector(a.n_qubits + b.n_qubits, amps)
 

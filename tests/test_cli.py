@@ -976,15 +976,31 @@ def test_version_flag(capsys):
     assert "dickesim" in capsys.readouterr().out
 
 
-def test_importing_the_package_loads_no_submodule_and_no_numpy():
+def fresh_python(code):
+    """Standard output of ``code`` run by a fresh interpreter on ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.splitlines()
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
     code = (
         "import sys, dickesim; print(dickesim.__version__); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
         "or m.startswith('dickesim.')))"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.splitlines() == ["0.1.0", "[]"]
+    assert fresh_python(code) == ["0.1.0", "[]"]
+
+
+def test_importing_the_cli_builds_no_state_table_or_circuit():
+    # D(4,2) with its ancillas, the popcount table behind every Dicke state
+    # and the expansion circuit are built on first use, not at import
+    code = (
+        "import dickesim.cli; from dickesim import dicke, protocols; "
+        "print(dicke._popcount_table.cache_info().currsize, "
+        "protocols.build_d4_to_d5_circuit.cache_info().currsize)"
+    )
+    assert fresh_python(code) == ["0 0"]

@@ -120,13 +120,27 @@ def test_builders_return_one_read_only_circuit(builder):
 
 def test_nominal_input_is_d42_with_two_zero_ancillas():
     expected = np.kron(dicke_state(4, 2).amplitudes, new_basis_state(2, "00").amplitudes)
-    assert protocols.NOMINAL_INPUT.amplitudes.tobytes() == expected.tobytes()
+    source = protocols._expansion_input(dicke_state(4, 2))
+    assert source.amplitudes.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
-        protocols.NOMINAL_INPUT.amplitudes[0] = 1.0
+        source.amplitudes[0] = 1.0
+    for n_qubits in (3, 5):
+        with pytest.raises(ValueError, match="expansion input must have 4 qubits"):
+            protocols._expansion_input(dicke_state(n_qubits, 1))
 
 
 # ---------------------------------------------------------------------------
 # restricted-access expansion circuit structure
+
+
+def test_the_layout_places_every_qubit_of_the_expansion_circuit():
+    circuit = build_d4_to_d5_circuit()
+    layout = protocols.EXPANSION_LAYOUT
+    assert circuit.qubit_labels == layout.qubit_labels
+    assert [layout.index(label) for label in layout.qubit_labels] == list(range(6))
+    assert protocols.FLAG_QUBIT == circuit.qubit_index(layout.flag) == 5
+    with pytest.raises(ValueError, match="^unknown qubit label 'nope'$"):
+        layout.index("nope")
 
 
 def test_untouched_qubit_is_never_referenced():
@@ -201,10 +215,11 @@ FLAG0_AFTER_EACH_RECORD = (
 def test_flag_probability_after_every_gate_record():
     # every prefix, so both X runs are also cut at every point
     circuit = build_d4_to_d5_circuit()
+    source = protocols._expansion_input(dicke_state(4, 2))
     assert [gate.label for gate in circuit.gates] == [label for label, _ in FLAG0_AFTER_EACH_RECORD]
     for length, (_, expected) in enumerate(FLAG0_AFTER_EACH_RECORD, start=1):
         prefix = CircuitProgram(6, circuit.gates[:length], circuit.qubit_labels)
-        out = apply_circuit(protocols.NOMINAL_INPUT, prefix).amplitudes
+        out = apply_circuit(source, prefix).amplitudes
         # the flag is the last qubit, so flag-0 amplitudes sit at even indices
         assert abs(float(np.sum(np.abs(out[::2]) ** 2)) - expected) <= 1e-12, length
 

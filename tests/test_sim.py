@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_gate, random_named_circuit, random_state, random_unitary_2x2
 from dickesim import gates, sim
-from dickesim.dicke import dicke_state
+from dickesim.dicke import dicke_state, wlike_state
 from dickesim.gates import CircuitProgram, GateSpec
 from dickesim.protocols import build_d4_to_d5_circuit
 from dickesim.sim import (
@@ -691,3 +691,25 @@ def test_tensor_of_random_states_keeps_norm():
     rng = np.random.default_rng(29)
     state = tensor(random_state(rng, 2), random_state(rng, 3))
     assert abs(np.linalg.norm(state.amplitudes) - 1) <= 1e-12
+
+
+def test_tensor_accepts_a_product_whose_factor_norm_errors_add_up():
+    # each factor's norm is 1 + 9e-13, within NORM_ATOL; the product's
+    # 1 + 1.8e-12 is not, so the product is divided by its norm
+    a = StateVector(1, np.array([math.sqrt(1 + 1.8e-12), 0]))
+    f = tensor(a, a).amplitudes.view(float)
+    assert abs(math.sqrt(f @ f) - 1.0) <= sim.NORM_ATOL
+    b = StateVector(2, np.full(4, 0.5 * math.sqrt(1 - 1.8e-12)))
+    f = tensor(b, b).amplitudes.view(float)
+    assert abs(math.sqrt(f @ f) - 1.0) <= sim.NORM_ATOL
+
+
+def test_tensor_keeps_the_outer_product_bits_of_a_normalized_product():
+    rng = np.random.default_rng(31)
+    pairs = [(random_state(rng, i), random_state(rng, j)) for i in (1, 2, 3) for j in (1, 2, 3)]
+    # the expansion input, and the recycling input, whose factor's norm
+    # computes to 0.9999999999999999
+    pairs += [(dicke_state(4, 2), new_basis_state(2, "00")), (wlike_state(), new_basis_state(1, "0"))]
+    for a, b in pairs:
+        expected = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
+        assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()
