@@ -93,17 +93,13 @@ def assert_every_layout_agrees(call, base, order):
     return native
 
 
-def _state_bytes(amps, n_qubits):
-    return StateVector(n_qubits, amps).amplitudes.tobytes()
-
-
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(layout_orders, st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_state_vector_takes_any_layout(order, n_qubits, seed):
     amps = random_state(np.random.default_rng(seed), n_qubits).amplitudes
 
     def call(a):
-        return _state_bytes(a, n_qubits)
+        return StateVector(n_qubits, a).amplitudes.tobytes()
 
     assert assert_every_layout_agrees(call, amps, order) == ("ok", amps.tobytes())
     assert assert_every_layout_agrees(call, 1.5 * amps, order)[0] is ValueError
