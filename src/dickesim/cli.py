@@ -82,6 +82,11 @@ def _all_floats(column: Sequence[Any]) -> bool:
     return all(isinstance(v, float) for v in column)
 
 
+def _interleave(columns: Sequence[Sequence[Any]]) -> tuple[Any, ...]:
+    """The cells of ``columns`` row by row, as a ``%`` row template takes them."""
+    return tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
 def _json_column(column: Sequence[Any]) -> list[str]:
     """Each cell of ``column`` as ``_json_cell`` writes it. An all-float
     column is formatted in one ``%`` pass; only a cell whose text is not
@@ -98,7 +103,11 @@ class Table:
     """Cells under named columns, one sequence or 1-D array per column, all
     of one length; there is at least one column. Each format yields a header,
     then runs of at most ``TABLE_CHUNK_ROWS`` rows, each rendered in one pass
-    from a row template; floats carry 12 significant digits in both."""
+    from a row template; floats carry 12 significant digits in both. When all
+    columns are float64 arrays, every cell takes a ``%.12g`` field. A JSON run
+    keeps that text if, beyond the template's own, it holds one ``.`` per
+    cell (NaN, infinities, -0 and integers print none) and no ``e``; any other
+    run is rendered again through ``_json_column``."""
 
     names: tuple[str, ...]
     columns: Sequence[Sequence[Any]]
@@ -107,6 +116,9 @@ class Table:
     def from_rows(cls, names: Sequence[str], rows: Sequence[Sequence[Any]]) -> Table:
         """The table of ``rows``, each one cell per name, transposed once."""
         return cls(tuple(names), [[row[i] for row in rows] for i in range(len(names))])
+
+    def _float_arrays(self) -> bool:
+        return all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in self.columns)
 
     def _runs(self) -> Iterator[list[Sequence[Any]]]:
         for start in range(0, len(self.columns[0]), TABLE_CHUNK_ROWS):
@@ -117,17 +129,16 @@ class Table:
         """A header line, then one line per row: a float as ``_fmt`` writes it,
         as does the ``%.12g`` field of an all-float run; any other cell as ``str``."""
         yield ",".join(self.names) + "\n"
+        floats = self._float_arrays()
         for columns in self._runs():
             fields = []
             for i, column in enumerate(columns):
-                if _all_floats(column):
+                if floats or _all_floats(column):
                     fields.append("%" + _FLOAT_SPEC)
                 else:
                     fields.append("%s")
                     columns[i] = [_fmt(v) if isinstance(v, float) else v for v in column]
-            row = ",".join(fields) + "\n"
-            cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-            yield row * len(columns[0]) % cells
+            yield (",".join(fields) + "\n") * len(columns[0]) % _interleave(columns)
 
     def json(self, indent: str, sort_keys: bool) -> Iterator[str]:
         """The rows as the array of records, column to cell, that
@@ -140,11 +151,18 @@ class Table:
             f"{indent}    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
         )
         row = f"{indent}  {{\n{fields}\n{indent}  }}"
+        # Each "%" of a key is doubled, so ": %s" occurs only as a field.
+        float_row = row.replace(": %s", ": %" + _FLOAT_SPEC) if self._float_arrays() else ""
+        # Each "%.12g" field holds the one "." that its cell prints in fixed form.
+        dots, exponents = float_row.count("."), float_row.count("e")
         opening = "[\n"
         for columns in self._runs():
-            texts = [_json_column(columns[last[k]]) for k in keys]
-            cells = tuple(itertools.chain.from_iterable(zip(*texts)))
-            yield opening + ",\n".join([row] * len(texts[0])) % cells
+            cells = [columns[last[k]] for k in keys]
+            n = len(cells[0])
+            text = float_row and ",\n".join([float_row] * n) % _interleave(cells)
+            if not text or text.count(".") != n * dots or text.count("e") != n * exponents:
+                text = ",\n".join([row] * n) % _interleave([_json_column(c) for c in cells])
+            yield opening + text
             opening = ",\n"
         yield "[]" if opening == "[\n" else f"\n{indent}]"  # json.dumps's empty list
 

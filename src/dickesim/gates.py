@@ -36,6 +36,14 @@ def _index(value) -> int:
     raise TypeError(f"{value!r} cannot be interpreted as an integer")
 
 
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array; ``ValueError`` unless its dtype is integer, real or complex."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"expected an array of numbers, got dtype {array.dtype}")
+    return array
+
+
 def rx_matrix(theta: float) -> np.ndarray:
     """Rotation by ``theta`` radians about the X axis of the Bloch sphere.
 
@@ -60,7 +68,7 @@ def ry_matrix(theta: float) -> np.ndarray:
 def is_unitary(matrix: np.ndarray) -> bool:
     """True iff ``matrix``, or every matrix of a ``(..., d, d)`` stack, is
     unitary within ``UNITARY_ATOL``."""
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(_numbers(matrix), dtype=complex)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         return False
     deviation = np.swapaxes(matrix.conj(), -1, -2) @ matrix
@@ -123,7 +131,7 @@ class GateSpec:
             raise ValueError("qubit indices must be non-negative")
         if target in controls:
             raise ValueError(f"target qubit {target} is also a control")
-        matrix = np.array(self.matrix, dtype=complex, order="C")  # for the view(float) below
+        matrix = np.array(_numbers(self.matrix), dtype=complex, order="C")  # for the view(float) below
         if matrix.shape != (2, 2):
             raise ValueError(f"target matrix must be 2x2, got {matrix.shape}")
         _check_target_matrix(matrix)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import X_MATRIX, CircuitProgram, GateSpec, _index
+from .gates import X_MATRIX, CircuitProgram, GateSpec, _index, _numbers
 
 NORM_ATOL = 1e-12
 # Post-selection rejects a branch whose probability is below this, rather
@@ -64,7 +64,7 @@ class StateVector:
             and amps.flags.c_contiguous
             and not amps.flags.writeable
         ):
-            amps = np.array(amps, dtype=complex)
+            amps = np.array(_numbers(amps), dtype=complex)
         if amps.shape != (1 << n_qubits,):
             raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {amps.shape}")
         _check_normalized(amps)

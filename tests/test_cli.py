@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from dickesim import cli, gates
 from dickesim.cli import main
+from dickesim.noise import fidelity_sweep
 
 
 def run_cli(argv):
@@ -870,6 +871,58 @@ def test_a_float_column_with_one_odd_cell_in_a_later_run(odd):
     for sort_keys in (True, False):
         report = {"rows": table}
         assert "".join(cli._render_json(report, sort_keys)) == _reference_json(report, sort_keys)
+
+
+# Cells at the edges of fixed form. Most fail the one-pass JSON count: -0,
+# integers, exponents, NaN, infinities. 1.5e15 prints "1.5e+15", with a ".",
+# where JSON writes 1500000000000000.0.
+_ARRAY_EDGES = [0.0, -0.0, 1.0, 0.9999999999995, 1e-4, 9.99999e-5, 1e12, 1.5e15, 1e-300,
+                5e-324, math.inf, -math.inf, math.nan]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(1, 200),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 399), st.one_of(st.sampled_from(_ARRAY_EDGES), st.floats())),
+             max_size=6),
+    st.booleans(),
+)
+def test_a_float_array_table_renders_as_its_lists(n_rows, seed, edges, sort_keys):
+    # Ordinary cells print in fixed form, so runs without an edge take the one pass.
+    rng = np.random.default_rng(seed)
+    cells = rng.uniform(-1, 1, 2 * n_rows) * 10 ** rng.uniform(-3, 9, 2 * n_rows)
+    for i, value in edges:
+        cells[i % cells.size] = value
+    arrays = cli.Table(("theta", "fidelity"), [cells[:n_rows], cells[n_rows:]])
+    lists = cli.Table(arrays.names, [column.tolist() for column in arrays.columns])
+    assert "".join(arrays.csv()) == "".join(lists.csv())
+    for indent in ("", "    "):
+        assert "".join(arrays.json(indent, sort_keys)) == "".join(lists.json(indent, sort_keys))
+
+
+def _json_column_calls(monkeypatch, argv):
+    """The columns that ``_json_column`` renders in a warm ``argv`` call."""
+    assert run_cli(argv) == 0
+    calls = []
+    real = cli._json_column
+    monkeypatch.setattr(cli, "_json_column", lambda column: calls.append(column) or real(column))
+    assert run_cli(argv) == 0
+    return calls
+
+
+def test_a_sweep_renders_fixed_form_runs_in_one_pass(tmp_path, monkeypatch):
+    argv = ["sweep", "--steps", "226", "--format", "json", "--out", str(tmp_path / "out.json")]
+    # 4 runs of angles in [0.01, 0.1] and fidelities below 1: no run falls back.
+    assert _json_column_calls(monkeypatch, [*argv, "--theta-min", "0.01"]) == []
+    # One angle of magnitude below 1e-4, row 100, sends the second run through it.
+    low, high = -0.05003, 0.06247
+    grid = np.linspace(low, high, 226)
+    assert np.flatnonzero(abs(grid) < 1e-4).tolist() == [100]
+    calls = _json_column_calls(monkeypatch, [*argv, f"--theta-min={low}", f"--theta-max={high}"])
+    run = slice(cli.TABLE_CHUNK_ROWS, 2 * cli.TABLE_CHUNK_ROWS)
+    fidelities = fidelity_sweep(grid, mode="post-selected")
+    assert calls == [fidelities[run].tolist(), grid[run].tolist()]  # keys sorted
 
 
 @pytest.mark.parametrize(

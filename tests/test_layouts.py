@@ -38,7 +38,18 @@ MESSAGES = (
     r".* cannot be interpreted as an integer",
     r"qubit \d+ out of range for \d+ qubits",
     r"outcome must be 0 or 1, got ",
+    r"expected an array of numbers, got dtype ",
 )
+
+
+NOT_NUMBERS = MESSAGES[-1]
+
+
+def _non_numbers(values: np.ndarray) -> tuple:
+    """``values`` as the texts of its numbers: str, bytes and object arrays,
+    which numpy would parse back into the same numbers."""
+    texts = values.astype(str)
+    return texts, texts.astype(bytes), texts.astype(object)
 
 
 def _nested_tuple(value):
@@ -107,6 +118,8 @@ def test_state_vector_takes_any_layout(order, n_qubits, seed):
     nan[-1] = math.nan
     assert assert_every_layout_agrees(call, nan, order)[0] is ValueError
     assert assert_every_layout_agrees(call, amps.reshape(2, -1), order)[0] is ValueError
+    for bad in _non_numbers(amps):
+        assert assert_every_layout_agrees(call, bad, order) == (ValueError, NOT_NUMBERS)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -122,6 +135,9 @@ def test_gate_spec_and_is_unitary_take_any_layout(order, seed):
     assert assert_every_layout_agrees(is_unitary, 1.5 * u, order) == ("ok", False)
     for bad in (1.5 * u, np.where(np.eye(2) > 0, math.inf, u), np.eye(3, dtype=complex)):
         assert assert_every_layout_agrees(gate, bad, order)[0] is ValueError
+    for bad in _non_numbers(u):
+        for call in (gate, is_unitary):
+            assert assert_every_layout_agrees(call, bad, order) == (ValueError, NOT_NUMBERS)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
