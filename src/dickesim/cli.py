@@ -464,24 +464,16 @@ def _add_common_flags(sub: argparse.ArgumentParser, handler: Callable[..., int])
     # The handler reports usage errors through its own subcommand's parser.
     sub.set_defaults(handler=functools.partial(handler, parser=sub))
     sub.add_argument("--out", type=_path, default=None, help="output file (default: stdout)")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
 def _add_bipartition_flags(
     sub: argparse.ArgumentParser, handler: Callable[..., int], added: int
 ) -> None:
     sub.add_argument("--total", type=int, required=True, help="register size")
-    sub.add_argument(
-        "--excitations", type=int, required=True, help="number of |1> qubits"
-    )
-    sub.add_argument(
-        "--accessible", type=int, required=True, help="number of accessible qubits"
-    )
-    sub.add_argument(
-        "--added", type=int, default=added, help="qubits appended by the expansion"
-    )
+    sub.add_argument("--excitations", type=int, required=True, help="number of |1> qubits")
+    sub.add_argument("--accessible", type=int, required=True, help="number of accessible qubits")
+    sub.add_argument("--added", type=int, default=added, help="qubits appended by the expansion")
     sub.add_argument(
         "--added-excitations", type=int, default=added,
         help="appended qubits that end up excited",
@@ -490,8 +482,9 @@ def _add_bipartition_flags(
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every call."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's top-level parser and each subcommand's own parser by name, built
+    once per process and shared by every call; each subparser sets ``command``."""
     parser = argparse.ArgumentParser(
         prog="dickesim",
         description="Statevector simulation of Dicke-state expansion under restricted qubit access.",
@@ -501,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prepare = subparsers.add_parser("prepare", help="emit a state or its circuit")
     prepare.add_argument("target", choices=("w3", "d4", "d5-analytic"))
-    prepare.add_argument(
-        "--emit", choices=("statevector", "circuit"), default="statevector"
-    )
+    prepare.add_argument("--emit", choices=("statevector", "circuit"), default="statevector")
     _add_common_flags(prepare, cmd_prepare)
 
     sample = subparsers.add_parser("sample", help="seeded shot sampling of the expansion")
@@ -514,9 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     pmax = subparsers.add_parser("pmax", help="exact maximum success probability")
     _add_bipartition_flags(pmax, cmd_pmax, added=1)
 
-    decompose = subparsers.add_parser(
-        "decompose", help="bipartite decomposition coefficients"
-    )
+    decompose = subparsers.add_parser("decompose", help="bipartite decomposition coefficients")
     _add_bipartition_flags(decompose, cmd_decompose, added=0)
 
     sweep = subparsers.add_parser("sweep", help="over-rotation fidelity sweep")
@@ -544,14 +533,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", type=_path, default=None, help="output file (default: stdout)")
     verify.set_defaults(handler=functools.partial(cmd_verify, parser=verify))
 
-    return parser
+    for name, sub in subparsers.choices.items():
+        sub.set_defaults(command=name)
+    return parser, subparsers.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's top-level parser. It passes the words after a subcommand's name
+    to that subcommand's parser, which ``main`` calls directly when it can."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        # A stray argument, such as --seed outside sample, gets its subcommand's usage.
-        args.handler.keywords["parser"].error(f"unrecognized arguments: {' '.join(extra)}")
+    """Run one command line; a line led by a subcommand is parsed by that subcommand alone."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    args = sub.parse_args(argv[1:]) if sub else build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:

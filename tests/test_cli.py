@@ -1,5 +1,7 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -1022,6 +1024,145 @@ def test_repeat_calls_build_no_parser_and_no_circuit(argv, most_gates, monkeypat
     assert run_cli(argv) == 0
     assert built["parsers"] == 0
     assert built["gates"] <= most_gates
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--shots", "100", "--seed", "1"], ["sweep", "--steps", "5"], ["verify"]],
+    ids=["sample", "sweep", "verify"],
+)
+def test_a_warm_call_parses_its_line_once(argv, monkeypatch, capsys):
+    assert run_cli(argv) == 0  # warm-up
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse_known_args(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse_known_args)
+    assert run_cli(argv) == 0
+    assert parses == [f"dickesim {argv[0]}"]
+
+
+def _parse_outcome(parse, argv):
+    """``parse(argv)``'s namespace or exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _main_and_old_parse(argv):
+    """The outcomes of ``argv`` in ``main`` and in the top-level parser's
+    ``parse_known_args``, a stray argument refused with its subcommand's
+    usage. Every subcommand's handler is swapped for a recorder meanwhile,
+    so each namespace is the one that its handler would get."""
+    seen = []
+    subcommands = cli._parsers()[1]
+    handlers = {name: sub.get_default("handler") for name, sub in subcommands.items()}
+    for sub in subcommands.values():
+        sub.set_defaults(handler=lambda args: seen.append(vars(args)) or 0)
+
+    def main_parse(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    def old_parse(argv):
+        args, extra = cli.build_parser().parse_known_args(argv)
+        if extra:
+            subcommands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        return vars(args)
+
+    try:
+        return _parse_outcome(main_parse, argv), _parse_outcome(old_parse, argv)
+    finally:
+        for name, sub in subcommands.items():
+            sub.set_defaults(handler=handlers[name])
+
+
+_SUBCOMMAND_LINES = [
+    ["prepare", "d4"],
+    ["prepare", "w3", "--emit=circuit", "--format", "json"],
+    ["prepare", "d5-analytic", "--emit", "circuit"],
+    ["prepare"],
+    ["prepare", "d6"],
+    ["sample", "--shots", "3"],
+    ["sample", "--shots=3", "--seed=7", "--out=x.csv", "--format=json"],
+    ["sample", "--sh", "3", "--se", "1"],
+    ["sample", "--shots", "3", "--", "extra"],
+    ["sample", "--shots", "3", "--seed", "-1"],
+    ["sample", "--shots", "x"],
+    ["sample", "--shots", "3", "--out", ""],
+    ["sample", "--seed", "1"],
+    ["sample", "--shots", "3", "--version"],
+    ["pmax", *_PAPER],
+    ["pmax", *_PAPER, "--added=2", "--added-excitations", "1"],
+    ["pmax", *_PAPER, "--seed", "1"],
+    ["pmax", "--total", "4"],
+    ["decompose", *_PAPER, "--format", "xml"],
+    ["decompose", *_PAPER, "stray", "--bogus"],
+    ["sweep"],
+    ["sweep", "--steps=5", "--theta-min=-2e-4", "--theta-max", "0.1", "--mode", "pre-measurement"],
+    ["sweep", "--theta-min", "-2e-4"],
+    ["sweep", "--steps", "5", "--seed", "1", "--", "extra"],
+    ["sweep", "--mode", "bogus"],
+    ["verify"],
+    ["verify", "--out", "v.json"],
+    ["verify", "--format", "csv"],
+    ["verify", "--seed", "1"],
+    *([name, "-h"] for name in ("prepare", "sample", "pmax", "decompose", "sweep", "verify")),
+    ["sweep", "--steps", "5", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMAND_LINES, ids=" ".join)
+def test_main_parses_a_subcommand_line_as_the_top_level_parser(argv):
+    new, old = _main_and_old_parse(argv)
+    assert new == old
+
+
+_TOKENS = [
+    "--shots", "3", "--seed", "-1", "1", "--out", "", "x.csv", "--format", "json", "xml",
+    "--steps", "5", "--theta-min=-2e-4", "--theta-max", "0.05", "--mode", "pre-measurement",
+    "--total", "4", "--excitations", "2", "--accessible", "3", "--added", "--emit", "circuit",
+    "d4", "w3", "--", "extra", "-h", "--version", "--bogus", "--sh", "--format=csv", "sample",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["prepare", "sample", "pmax", "decompose", "sweep", "verify"]),
+    st.lists(st.sampled_from(_TOKENS), max_size=8),
+)
+def test_main_parses_any_subcommand_line_as_the_top_level_parser(command, words):
+    argv = [command, *words]
+    new, old = _main_and_old_parse(argv)
+    assert new == old
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ([], 2, "the following arguments are required: command"),
+        (["nosuch"], 2, "argument command: invalid choice: 'nosuch'"),
+        (["--version"], 0, ""),
+        (["-h"], 0, ""),
+        (["--", "sweep"], None, ""),
+    ],
+    ids=["none", "nosuch", "version", "help", "dashdash"],
+)
+def test_other_lines_go_to_the_top_level_parser(argv, code, message):
+    new, old = _main_and_old_parse(argv)
+    assert new == old
+    result, out, err = new
+    if code is not None:
+        assert result == code
+        assert message in err
+        assert ("usage: dickesim [-h]" in out + err) == (argv != ["--version"])
 
 
 def test_version_flag(capsys):
