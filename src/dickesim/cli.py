@@ -54,17 +54,19 @@ def _fmt(x: float) -> str:
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_float(text: str) -> str:
+    """The JSON form of the float that ``_fmt`` writes as ``text``: ``text``
+    itself in fixed form with a "." (float.__repr__ writes the same digits)."""
+    if "." in text and "e" not in text:
+        return text
+    return _JSON_CONSTANTS.get(text) or float.__repr__(float(text))
+
+
 def _json_cell(v: Any) -> str:
     """A table cell as ``json.dumps`` renders it, a float ``x`` as the float
     ``float(_fmt(x))``."""
     if isinstance(v, float):
-        s = _fmt(v)
-        if "e" in s or "n" in s:  # exponent form, inf or nan
-            return _JSON_CONSTANTS.get(s) or float.__repr__(float(s))
-        # Fixed form, magnitude in [1e-4, 1e12) or zero: a decimal of at most
-        # 15 significant digits is the shortest that round-trips its double,
-        # so float.__repr__ gives the same digits, with ".0" on an integer.
-        return s if "." in s else s + ".0"
+        return _json_float(_fmt(v))
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None:
@@ -78,7 +80,11 @@ def _json_cell(v: Any) -> str:
     raise TypeError(f"table cell of type {type(v).__name__} is not JSON serializable")
 
 
-def _all_floats(column: Sequence[Any]) -> bool:
+def _float_column(column: Sequence[Any]) -> bool:
+    """Whether ``column`` is a float column: a float64 array by its dtype,
+    any other sequence when every cell is a float."""
+    if isinstance(column, np.ndarray):
+        return column.dtype == np.float64
     return all(isinstance(v, float) for v in column)
 
 
@@ -87,15 +93,12 @@ def _interleave(columns: Sequence[Sequence[Any]]) -> tuple[Any, ...]:
     return tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def _json_column(column: Sequence[Any]) -> list[str]:
-    """Each cell of ``column`` as ``_json_cell`` writes it. An all-float
-    column is formatted in one ``%`` pass; only a cell whose text is not
-    already a JSON float (integer-valued, exponent form, NaN or infinity)
-    goes through ``_json_cell``."""
-    if not _all_floats(column):
+def _json_column(column: Sequence[Any], floats: bool) -> list[str]:
+    """Each cell of ``column`` as ``_json_cell`` writes it; a float column's
+    (``floats``) in one ``%`` pass, each text then through ``_json_float``."""
+    if not floats:
         return [_json_cell(v) for v in column]
-    texts = (f"%{_FLOAT_SPEC}\n" * len(column) % tuple(column)).split("\n")
-    return [t if "." in t and "e" not in t else _json_cell(v) for t, v in zip(texts, column)]
+    return [_json_float(t) for t in (f"%{_FLOAT_SPEC}\n" * len(column) % tuple(column)).splitlines()]
 
 
 @dataclass(frozen=True)
@@ -103,22 +106,14 @@ class Table:
     """Cells under named columns, one sequence or 1-D array per column, all
     of one length; there is at least one column. Each format yields a header,
     then runs of at most ``TABLE_CHUNK_ROWS`` rows, each rendered in one pass
-    from a row template; floats carry 12 significant digits in both. When all
-    columns are float64 arrays, every cell takes a ``%.12g`` field. A JSON run
-    keeps that text if, beyond the template's own, it holds one ``.`` per
-    cell (NaN, infinities, -0 and integers print none) and no ``e``; any other
-    run is rendered again through ``_json_column``."""
+    from a row template; floats carry 12 significant digits in both. A float
+    column (``_float_column``, decided once per render) takes ``%.12g``
+    fields. When every column is one, a JSON run keeps that text if, beyond
+    the template's own, it holds one ``.`` per cell (NaN, infinities, -0 and
+    integers print none) and no ``e``; any other run goes through ``_json_column``."""
 
     names: tuple[str, ...]
     columns: Sequence[Sequence[Any]]
-
-    @classmethod
-    def from_rows(cls, names: Sequence[str], rows: Sequence[Sequence[Any]]) -> Table:
-        """The table of ``rows``, each one cell per name, transposed once."""
-        return cls(tuple(names), [[row[i] for row in rows] for i in range(len(names))])
-
-    def _float_arrays(self) -> bool:
-        return all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in self.columns)
 
     def _runs(self) -> Iterator[list[Sequence[Any]]]:
         for start in range(0, len(self.columns[0]), TABLE_CHUNK_ROWS):
@@ -127,18 +122,15 @@ class Table:
 
     def csv(self) -> Iterator[str]:
         """A header line, then one line per row: a float as ``_fmt`` writes it,
-        as does the ``%.12g`` field of an all-float run; any other cell as ``str``."""
+        as does the ``%.12g`` field of a float column; any other cell as ``str``."""
         yield ",".join(self.names) + "\n"
-        floats = self._float_arrays()
+        floats = [_float_column(c) for c in self.columns]
+        line = ",".join("%" + _FLOAT_SPEC if f else "%s" for f in floats) + "\n"
         for columns in self._runs():
-            fields = []
             for i, column in enumerate(columns):
-                if floats or _all_floats(column):
-                    fields.append("%" + _FLOAT_SPEC)
-                else:
-                    fields.append("%s")
+                if not floats[i]:
                     columns[i] = [_fmt(v) if isinstance(v, float) else v for v in column]
-            yield (",".join(fields) + "\n") * len(columns[0]) % _interleave(columns)
+            yield line * len(columns[0]) % _interleave(columns)
 
     def json(self, indent: str, sort_keys: bool) -> Iterator[str]:
         """The rows as the array of records, column to cell, that
@@ -151,8 +143,9 @@ class Table:
             f"{indent}    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
         )
         row = f"{indent}  {{\n{fields}\n{indent}  }}"
+        floats = tuple(_float_column(self.columns[last[k]]) for k in keys)
         # Each "%" of a key is doubled, so ": %s" occurs only as a field.
-        float_row = row.replace(": %s", ": %" + _FLOAT_SPEC) if self._float_arrays() else ""
+        float_row = row.replace(": %s", ": %" + _FLOAT_SPEC) if all(floats) else ""
         # Each "%.12g" field holds the one "." that its cell prints in fixed form.
         dots, exponents = float_row.count("."), float_row.count("e")
         opening = "[\n"
@@ -161,7 +154,7 @@ class Table:
             n = len(cells[0])
             text = float_row and ",\n".join([float_row] * n) % _interleave(cells)
             if not text or text.count(".") != n * dots or text.count("e") != n * exponents:
-                text = ",\n".join([row] * n) % _interleave([_json_column(c) for c in cells])
+                text = ",\n".join([row] * n) % _interleave([_json_column(c, f) for c, f in zip(cells, floats)])
             yield opening + text
             opening = ",\n"
         yield "[]" if opening == "[\n" else f"\n{indent}]"  # json.dumps's empty list
@@ -236,16 +229,16 @@ def _write_chunks(fd: int, chunks: Iterable[str]) -> None:
 def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write ``chunks`` one at a time to --out atomically, as UTF-8, or to stdout.
 
-    They stream into a new ``.dickesim-*`` file beside --out, unlinked if a
-    chunk fails to render. An existing --out is swapped with it in one Linux
-    ``renameat2(RENAME_EXCHANGE)`` call, and the temporary name, which then
-    holds the old file, is unlinked; a fresh path, other systems and a refused
-    exchange take ``os.replace`` instead. Readers see the whole old file or
+    A symlink at --out is followed and stays; the path it resolves to is
+    written. The chunks stream into a new ``.dickesim-*`` file beside that
+    path, unlinked if a chunk fails to render. An existing file is swapped with
+    it in one Linux ``renameat2(RENAME_EXCHANGE)`` call, and the temporary name,
+    which then holds the old file, is unlinked; a fresh path, other systems and
+    a refused exchange take ``os.replace``. Readers see the whole old file or
     the whole new one. A crash between the exchange and the unlink can leave
-    one ``.dickesim-*`` file, which holds the old content. Anything else at
-    --out is opened in place: a FIFO or a device is written into, and a
-    directory fails the open with ``IsADirectoryError`` naming --out before
-    anything is written.
+    one ``.dickesim-*`` file, which holds the old content. Anything else is
+    opened in place: a FIFO or a device is written into, and a directory fails
+    the open with ``IsADirectoryError`` naming --out before anything is written.
     """
     if args.out is None:
         sys.stdout.writelines(chunks)
@@ -257,7 +250,8 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     if mode and not stat.S_ISREG(mode):
         _write_chunks(os.open(args.out, os.O_WRONLY), chunks)
         return
-    directory = os.path.dirname(os.path.abspath(args.out))
+    out = os.path.realpath(args.out) if os.path.islink(args.out) else args.out
+    directory = os.path.dirname(os.path.abspath(out))
     tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
     try:
         # Mode 0o666 less the umask, as a plain open gives (mkstemp would give 0600).
@@ -267,14 +261,14 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         raise OSError(exc.errno, exc.strerror, args.out) from None
     try:
         _write_chunks(fd, chunks)
-        if not _exchange(tmp_path, args.out):
-            os.replace(tmp_path, args.out)
+        if not _exchange(tmp_path, out):
+            os.replace(tmp_path, out)
             return
         try:
             os.unlink(tmp_path)
         except (IsADirectoryError, PermissionError):
             # A directory appeared at --out after the stat: put it back.
-            _exchange(tmp_path, args.out)
+            _exchange(tmp_path, out)
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out) from None
     except BaseException:
         if os.path.exists(tmp_path):
@@ -348,10 +342,9 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     stats = run_protocol_stats(args.shots, args.seed)
     if sum(stats.counts.values()) != stats.shots:
         raise ValueError("histogram counts do not sum to the shot total")
-    table = Table.from_rows(
-        ("bitstring", "count", "frequency"),
-        [(bits, count, count / stats.shots) for bits, count in sorted(stats.counts.items())],
-    )
+    bits, counts = zip(*sorted(stats.counts.items()))
+    frequencies = [count / stats.shots for count in counts]
+    table = Table(("bitstring", "count", "frequency"), [bits, counts, frequencies])
     # Binomial standard error at the reference p, so that a single shot
     # (estimate 0 or 1) still gives a finite z-score.
     p_ref = 5 / 6
@@ -401,15 +394,14 @@ def cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     sides = [("source", decompose_source(params))]
     if params.added > 0:
         sides.append(("target", decompose_target(params)))
-    table = Table.from_rows(
-        ("side", "j", "a_excitations", "b_excitations", "coefficient", "weight"),
-        [
-            (side, t.j, t.a_excitations, t.j, t.coefficient,
-             f"{t.weight.numerator}/{t.weight.denominator}")
-            for side, decomposition in sides
-            for t in decomposition.terms
-        ],
-    )
+    rows = [
+        (side, t.j, t.a_excitations, t.j, t.coefficient,
+         f"{t.weight.numerator}/{t.weight.denominator}")
+        for side, decomposition in sides
+        for t in decomposition.terms
+    ]
+    names = ("side", "j", "a_excitations", "b_excitations", "coefficient", "weight")
+    table = Table(names, list(zip(*rows)))
     _emit(args, {"rows": table}, table)
     return 0
 
@@ -436,7 +428,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checks = run_all_checks()
     failed = [check.name for check in checks if not check.passed]
-    table = Table.from_rows(Check._fields, checks)
+    table = Table(Check._fields, list(zip(*checks)))
     summary = {"checks": table, "all_passed": not failed, "tool_version": __version__}
     _write(args, _render_json(summary, sort_keys=False))
     if failed:

@@ -1,6 +1,8 @@
 """CLI harness: subcommands, file outputs, exit codes, reproducibility."""
 import argparse
 import contextlib
+import ctypes
+import dataclasses
 import io
 import json
 import math
@@ -150,6 +152,19 @@ def test_sample_unwritable_path(capsys):
     )
     assert code == 4
     assert "'/nonexistent-dir/deep/h.csv'" in capsys.readouterr().err
+
+
+def test_sample_refuses_counts_that_miss_a_shot(monkeypatch):
+    real = cli.run_protocol_stats
+
+    def one_shot_short(shots, seed):
+        stats = real(shots, seed)
+        bits = min(stats.counts)
+        return dataclasses.replace(stats, counts={**stats.counts, bits: stats.counts[bits] - 1})
+
+    monkeypatch.setattr(cli, "run_protocol_stats", one_shot_short)
+    with pytest.raises(ValueError, match="^histogram counts do not sum to the shot total$"):
+        run_cli(["sample", "--shots", "100", "--seed", "1"])
 
 
 def test_sample_json_report(capsys):
@@ -658,18 +673,67 @@ def test_out_file_holds_exactly_the_text_over_a_longer_one(tmp_path, path, monke
 
 
 @pytest.mark.parametrize("path", ["exchanged", "replaced"])
-def test_out_symlink_is_replaced_and_its_target_untouched(tmp_path, path, monkeypatch):
+def test_out_symlink_stays_and_its_target_is_replaced(tmp_path, path, monkeypatch):
+    # The temporary file goes beside the target, in another directory.
     if path == "replaced":
         _no_exchange(monkeypatch)
-    target = tmp_path / "target.txt"
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "target.txt"
     target.write_text("target\n")
     out = tmp_path / "out.txt"
     out.symlink_to(target)
     cli._write(argparse.Namespace(out=str(out)), ("new\n",))
-    assert not out.is_symlink()
-    assert out.read_text() == "new\n"
-    assert target.read_text() == "target\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "target.txt"]
+    assert out.is_symlink() and os.readlink(out) == str(target)
+    assert target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sub"]
+    assert [p.name for p in target.parent.iterdir()] == ["target.txt"]
+
+
+def test_a_dangling_out_symlink_gets_its_target_created(tmp_path):
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "target.txt"
+    out = tmp_path / "out.txt"
+    out.symlink_to(target)
+    cli._write(argparse.Namespace(out=str(out)), ("new\n",))
+    assert out.is_symlink() and os.readlink(out) == str(target)
+    assert target.read_text() == "new\n"
+    assert [p.name for p in target.parent.iterdir()] == ["target.txt"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc")
+def test_out_through_an_open_descriptor_replaces_its_file(tmp_path):
+    # A link to /proc/self/fd/N, as /dev/stdout is to fd 1, with N a regular file.
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    out = tmp_path / "out"
+    with open(target) as held:
+        out.symlink_to(f"/proc/self/fd/{held.fileno()}")
+        cli._write(argparse.Namespace(out=str(out)), ("new\n",))
+        assert held.read() == "old\n"  # the descriptor keeps the replaced file
+    assert out.is_symlink()
+    assert target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "target.txt"]
+
+
+@pytest.mark.parametrize("missing", ["platform", "libc"])
+def test_without_renameat2_an_existing_file_is_replaced(tmp_path, monkeypatch, missing):
+    if missing == "platform":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    else:
+        def no_libc(*args, **kwargs):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    cli._renameat2.cache_clear()
+    try:
+        assert cli._renameat2() is None
+        out = tmp_path / "out.txt"
+        out.write_text("old\n")
+        cli._write(argparse.Namespace(out=str(out)), ("new\n",))
+        assert out.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    finally:
+        cli._renameat2.cache_clear()
 
 
 @pytest.mark.parametrize("path", ["exchanged", "replaced"])
@@ -903,12 +967,51 @@ def test_a_float_array_table_renders_as_its_lists(n_rows, seed, edges, sort_keys
         assert "".join(arrays.json(indent, sort_keys)) == "".join(lists.json(indent, sort_keys))
 
 
+@pytest.mark.parametrize(
+    "column", [np.array([3, -1, 0, 7]), np.array([True, False, True, True])], ids=["int64", "bool"]
+)
+def test_an_int_or_bool_array_column_renders_as_its_list(column):
+    # Alone, and beside a float array column.
+    floats = np.array([0.5, 1.0, -0.0, 1e-5])
+    for columns in ([column], [column, floats]):
+        names = ("n", "x")[: len(columns)]
+        arrays = cli.Table(names, columns)
+        lists = cli.Table(names, [c.tolist() for c in columns])
+        assert "".join(arrays.csv()) == "".join(lists.csv()) == _reference_csv(lists)
+        for sort_keys in (True, False):
+            rendered = "".join(cli._render_json({"rows": arrays}, sort_keys))
+            assert rendered == _reference_json({"rows": lists}, sort_keys)
+
+
+def test_a_float_list_column_renders_as_its_float64_array():
+    # Alone, and beside a text column; the edges fail the one-pass JSON count.
+    n_rows = 2 * cli.TABLE_CHUNK_ROWS + 3
+    cells = np.resize([0.25, 1.0, -0.0, 1e-5, 1.5e15, math.nan, -math.inf, 1 / 3], n_rows)
+    labels = [f"r{i}" for i in range(n_rows)]
+    for columns in ([cells.tolist()], [labels, cells.tolist()]):
+        names = ("label", "x")[-len(columns):]
+        lists = cli.Table(names, columns)
+        arrays = cli.Table(names, [*columns[:-1], cells])
+        assert "".join(lists.csv()) == "".join(arrays.csv()) == _reference_csv(lists)
+        for sort_keys in (True, False):
+            rendered = "".join(cli._render_json({"rows": lists}, sort_keys))
+            assert rendered == "".join(cli._render_json({"rows": arrays}, sort_keys))
+            assert rendered == _reference_json({"rows": lists}, sort_keys)
+
+
+def test_a_report_value_that_is_neither_json_nor_a_table_is_refused():
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        cli._render_json({"x": object()}, True)
+
+
 def _json_column_calls(monkeypatch, argv):
     """The columns that ``_json_column`` renders in a warm ``argv`` call."""
     assert run_cli(argv) == 0
     calls = []
     real = cli._json_column
-    monkeypatch.setattr(cli, "_json_column", lambda column: calls.append(column) or real(column))
+    monkeypatch.setattr(
+        cli, "_json_column", lambda column, floats: calls.append(column) or real(column, floats)
+    )
     assert run_cli(argv) == 0
     return calls
 

@@ -208,6 +208,8 @@ def test_params_validation():
         BipartitionParams(total=4, excitations=2, accessible=5)
     with pytest.raises(ValueError):
         BipartitionParams(total=4, excitations=2, accessible=3, added=1, added_excitations=2)
+    with pytest.raises(ValueError, match="^total qubit count must be positive$"):
+        BipartitionParams(0, 0, 0)
 
 
 EXPANSION_CASE = dict(total=4, excitations=2, accessible=3, added=1, added_excitations=1)

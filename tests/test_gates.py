@@ -58,6 +58,11 @@ def test_rotations_are_unitary():
         assert gates.is_unitary(ry_matrix(theta))
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "1-d"])
+def test_a_non_square_matrix_is_not_unitary(matrix):
+    assert gates.is_unitary(matrix) is False
+
+
 def test_rotation_rejects_nonfinite_angle():
     with pytest.raises(ValueError):
         rx_matrix(float("nan"))
@@ -124,6 +129,12 @@ def test_gatespec_takes_any_matrix_layout(matrix):
         assert output(gate) == output(reference), layout
 
 
+@pytest.mark.parametrize("controls, target", [((-1,), 0), ((1,), -1)], ids=["control", "target"])
+def test_gatespec_rejects_negative_qubits(controls, target):
+    with pytest.raises(ValueError, match="^qubit indices must be non-negative$"):
+        GateSpec(controls, target, gates.X_MATRIX)
+
+
 def test_gatespec_rejects_nonunitary_matrix():
     with pytest.raises(ValueError, match="unitary"):
         GateSpec((), 0, np.array([[1, 0], [0, 2]], dtype=complex))
@@ -154,6 +165,8 @@ def test_mnemonics():
     assert gates.ccnot(0, 1, 2).mnemonic() == "CCNOT"
     assert gates.cccnot(0, 1, 2, 3).mnemonic() == "CCCNOT"
     assert gates.ry(0.5, 0).mnemonic() == "RY"
+    with pytest.raises(ValueError, match="^gate 'G' has no named form$"):
+        GateSpec((), 0, gates.X_MATRIX, label="G").mnemonic()
 
 
 def test_make_gate_angle_rules():
@@ -263,6 +276,9 @@ def test_format_lines_shape():
 def test_parse_errors():
     with pytest.raises(ValueError, match="header"):
         parse_circuit("- X c=- t=a\n")
+    for text in ("", "# a comment\n\n# another\n"):
+        with pytest.raises(ValueError, match="^no '# qubits:' header$"):
+            parse_circuit(text)
     with pytest.raises(ValueError, match="unknown gate token"):
         parse_circuit("# qubits: a,b\n- SWAP c=- t=a\n")
     with pytest.raises(ValueError, match="controls"):

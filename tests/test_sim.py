@@ -56,6 +56,13 @@ def test_basis_state_length_mismatch():
         new_basis_state(3, "01")
 
 
+def test_an_empty_register_is_refused():
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        StateVector(0, [1])
+    with pytest.raises(ValueError, match="^bitstring must be nonempty"):
+        new_basis_state(0, "")
+
+
 def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, np.array([1.0, 1.0]))
