@@ -29,9 +29,8 @@ from .dicke import (
     decompose_target,
     dicke_state,
     max_success_probability,
-    w_state,
 )
-from .gates import format_circuit
+from .gates import CircuitProgram, format_circuit
 from .noise import FidelityMode, _check_angle, fidelity_sweep
 from .protocols import build_d4_prep_circuit, build_w3_circuit, run_protocol_stats
 
@@ -297,35 +296,28 @@ def _emit(args: argparse.Namespace, outputs: Any, chunks: Iterable[str] | Table)
     _write(args, chunks.csv() if isinstance(chunks, Table) else chunks)
 
 
+# Each prepare target's Dicke state D(n, k), and its circuit from |0...0> or None.
+_TARGETS: dict[str, tuple[tuple[int, int], Callable[[], CircuitProgram] | None]] = {
+    "w3": ((3, 1), build_w3_circuit),
+    "d4": ((4, 2), build_d4_prep_circuit),
+    "d5-analytic": ((5, 3), None),
+}
+
+
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Emit the target's D(n, k) amplitudes or, with --emit circuit, its circuit:
+    the text format, or in JSON each ``records()`` entry as an object."""
+    (n, k), build = _TARGETS[args.target]
     if args.emit == "circuit":
-        circuits = {"w3": build_w3_circuit, "d4": build_d4_prep_circuit}
-        if args.target not in circuits:
-            parser.error(
-                f"no circuit form for {args.target!r} (the 5-qubit state is "
-                "reached by the post-selected expansion, not a unitary circuit); "
-                "use --emit statevector"
-            )
-        circuit = circuits[args.target]()
-        gates = [
-            {
-                "label": g.label,
-                "gate": g.mnemonic(),
-                "controls": [circuit.qubit_labels[c] for c in g.controls],
-                "target": circuit.qubit_labels[g.target],
-                "theta": g.theta,
-            }
-            for g in circuit.gates
-        ]
-        outputs = {"qubits": list(circuit.qubit_labels), "gates": gates}
-        _emit(args, outputs, (format_circuit(circuit),))
+        if build is None:
+            parser.error(f"no circuit form for {args.target!r} (the 5-qubit state is reached by "
+                "the post-selected expansion, not a unitary circuit); use --emit statevector")
+        circuit = build()
+        fields = ("label", "gate", "controls", "target", "theta")
+        gates = [dict(zip(fields, record)) for record in circuit.records()]
+        _emit(args, {"qubits": list(circuit.qubit_labels), "gates": gates}, (format_circuit(circuit),))
         return 0
-    states = {
-        "w3": lambda: w_state(3),
-        "d4": lambda: dicke_state(4, 2),
-        "d5-analytic": lambda: dicke_state(5, 3),
-    }
-    state = states[args.target]()
+    state = dicke_state(n, k)
     amps = state.amplitudes
     indices = range(len(amps))
     table = Table(
@@ -485,7 +477,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     prepare = subparsers.add_parser("prepare", help="emit a state or its circuit")
-    prepare.add_argument("target", choices=("w3", "d4", "d5-analytic"))
+    prepare.add_argument("target", choices=tuple(_TARGETS))
     prepare.add_argument("--emit", choices=("statevector", "circuit"), default="statevector")
     _add_common_flags(prepare, cmd_prepare)
 

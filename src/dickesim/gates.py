@@ -245,21 +245,28 @@ class CircuitProgram:
     def count_gates(self, n_controls: int) -> int:
         return sum(1 for g in self.gates if len(g.controls) == n_controls)
 
+    def records(self) -> list[tuple[str, str, tuple[str, ...], str, float | None]]:
+        """Each gate as written: ``(label, mnemonic, control labels, target label,
+        theta)``; ``GateSpec.mnemonic`` refuses a gate with no named form."""
+        q = self.qubit_labels
+        return [(g.label, g.mnemonic(), tuple(q[c] for c in g.controls), q[g.target], g.theta)
+                for g in self.gates]
+
 
 _BASE_NAMES = {"NOT": "X", "X": "X", "H": "H", "RX": "RX", "RY": "RY"}
 
 
 def format_circuit(circuit: CircuitProgram) -> str:
-    """Serialize to the one-gate-per-line text format.
-
-    Line shape: ``LABEL GATE c=<labels> t=<label> [theta=<radians>]`` with a
-    leading ``# qubits:`` header naming the register (needed to round-trip
-    qubits no gate touches).
+    """Serialize to the one-gate-per-line text format: after a ``# qubits:``
+    header naming the register (needed to round-trip qubits no gate touches),
+    a line ``LABEL GATE c=<labels> t=<label> [theta=<radians>]`` per entry of
+    :meth:`CircuitProgram.records`, with ``-`` for no label or no controls.
 
     Raises ``ValueError`` naming the first label that :func:`parse_circuit`
     would misread: a qubit label that is empty, ``-`` (no controls) or
     contains whitespace or ``,``; a gate label that is ``-`` (no label),
-    starts with ``#`` (a comment) or contains whitespace.
+    starts with ``#`` (a comment) or contains whitespace. Only then does
+    ``records`` refuse a gate with no named form.
     """
     for label in circuit.qubit_labels:
         if label in ("", "-") or any(ch.isspace() or ch == "," for ch in label):
@@ -268,13 +275,9 @@ def format_circuit(circuit: CircuitProgram) -> str:
         if g.label == "-" or g.label.startswith("#") or any(ch.isspace() for ch in g.label):
             raise ValueError(f"gate label {g.label!r} cannot be written in the text format")
     lines = ["# qubits: " + ",".join(circuit.qubit_labels)]
-    for g in circuit.gates:
-        token = g.mnemonic()
-        ctl = ",".join(circuit.qubit_labels[c] for c in g.controls) or "-"
-        line = f"{g.label or '-'} {token} c={ctl} t={circuit.qubit_labels[g.target]}"
-        if g.theta is not None:
-            line += f" theta={g.theta!r}"
-        lines.append(line)
+    for label, token, controls, target, theta in circuit.records():
+        angle = "" if theta is None else f" theta={theta!r}"
+        lines.append(f"{label or '-'} {token} c={','.join(controls) or '-'} t={target}{angle}")
     return "\n".join(lines) + "\n"
 
 

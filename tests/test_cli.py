@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import cli, gates
+from dickesim import cli, gates, sim
 from dickesim.cli import main
+from dickesim.dicke import dicke_state
 from dickesim.noise import fidelity_sweep
 
 
@@ -79,6 +80,29 @@ def test_prepare_json_report(capsys):
     assert report["command"] == "prepare"
     assert report["tool_version"]
     assert len(report["outputs"]["amplitudes"]) == 8
+
+
+@pytest.mark.parametrize("target", [t for t, (_, build) in cli._TARGETS.items() if build])
+def test_each_prepare_circuit_reaches_its_dicke_state(target):
+    (n, k), build = cli._TARGETS[target]
+    circuit = build()
+    zeros = sim.new_basis_state(circuit.n_qubits, "0" * circuit.n_qubits)
+    prepared = sim.apply_circuit(zeros, circuit)
+    assert sim.fidelity_pure(prepared, dicke_state(n, k)) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("target", sorted(cli._TARGETS))
+def test_prepare_json_amplitudes_are_the_targets_dicke_state(target, capsys):
+    assert run_cli(["prepare", target, "--format", "json"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    state = dicke_state(*cli._TARGETS[target][0])
+    assert outputs["n_qubits"] == state.n_qubits
+    # Each cell carries the 12 significant digits of the table format.
+    assert outputs["amplitudes"] == [
+        {"index": i, "bitstring": state.bitstring(i), "re": float(f"{a.real:.12g}"),
+         "im": float(f"{a.imag:.12g}")}
+        for i, a in enumerate(state.amplitudes)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim import dicke, gates
+from dickesim import dicke, gates, protocols
 from dickesim.dicke import (
     DECOMPOSITION_ATOL,
     BipartitionParams,
@@ -370,6 +370,56 @@ def test_pmax_is_invariant_under_bit_flip_duality():
         dual = BipartitionParams(
             params.total, params.zeros, params.accessible, params.added, params.added_zeros)
         assert max_success_probability(dual) == max_success_probability(params), params
+
+
+def haar_unitary(rng, dim):
+    """A random unitary: the Q of a complex Gaussian's QR, each column's phase
+    fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+def test_no_unitary_on_the_accessible_side_raises_any_b_sector():
+    # The converse of the bound: a unitary on A, the added qubits and the flag
+    # leaves each |D_B^j> sector's weight, summed over both flag values, at
+    # w_src(j); so the flag-0 weight never exceeds it, and p * w_tgt(j) <= w_src(j).
+    rng = np.random.default_rng(2025)
+    instances = [p for p in valid_instances(max_total=5, max_added=2)
+                 if p.added >= 1 and p.accessible + p.added + 1 <= 7]
+    assert len(instances) == 235
+    for params in instances:
+        k, b_size = params.accessible, params.total - params.accessible
+        rows = 1 << (k + params.added + 1)  # A, then the added qubits, then the flag
+        split = dicke_state(params.total, params.excitations).amplitudes.reshape(1 << k, -1)
+        state = np.zeros((rows, 1 << b_size), dtype=complex)
+        state[:: 1 << (params.added + 1)] = split  # added qubits and flag in |0>
+        evolved = np.tensordot(haar_unitary(rng, rows), state, axes=1)
+        weights = np.abs(evolved) ** 2
+        sector = popcounts(b_size).ravel()
+        source = {t.j: float(t.weight) for t in decompose_source(params).terms}
+        for j in range(b_size + 1):
+            both_flags = weights[:, sector == j].sum()
+            flag_0 = weights[0::2, sector == j].sum()
+            assert abs(both_flags - source.get(j, 0.0)) <= 1e-12, (params, j)
+            assert flag_0 <= source.get(j, 0.0) + 1e-12, (params, j)
+
+
+def test_the_paper_circuit_saturates_the_binding_sector():
+    # The kernel's run of the paper's circuit: its flag-0 weight in each d4
+    # sector is pmax * w_tgt(j), 1/3 and 1/2, and equals w_src(1) = 1/2.
+    params = BipartitionParams(4, 2, 3, 1, 1)
+    p = max_success_probability(params)
+    layout = protocols.EXPANSION_LAYOUT
+    d4, flag = layout.index("d4"), layout.index(layout.flag)
+    pre = protocols.expansion_premeasurement(dicke_state(4, 2)).amplitudes.reshape((2,) * 6)
+    flag_0 = np.take(np.abs(pre) ** 2, 0, axis=flag)  # d4 keeps its index below the flag
+    source = {t.j: t.weight for t in decompose_source(params).terms}
+    target = {t.j: t.weight for t in decompose_target(params).terms}
+    assert [p * target[j] for j in (0, 1)] == [Fraction(1, 3), Fraction(1, 2)]
+    assert source[1] == p * target[1] == Fraction(1, 2)
+    for j in (0, 1):
+        weight = np.take(flag_0, j, axis=d4).sum()
+        assert abs(weight - float(p * target[j])) <= 1e-12, j
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dickesim import gates, sim
@@ -362,6 +362,39 @@ def test_text_format_round_trips_every_writable_circuit(circuit):
         )
         assert repr(back.theta) == repr(original.theta)
         np.testing.assert_array_equal(back.matrix, original.matrix)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(named_circuits())
+def test_each_written_line_reads_back_as_its_record(circuit):
+    assume(all(map(writable_qubit_label, circuit.qubit_labels)))
+    assume(all(writable_gate_label(g.label) for g in circuit.gates))
+    header, *lines = format_circuit(circuit).splitlines()
+    assert header == "# qubits: " + ",".join(circuit.qubit_labels)
+    records = circuit.records()
+    assert len(lines) == len(records) == len(circuit.gates)
+    for line, (label, token, controls, target, theta) in zip(lines, records):
+        written_label, written_token, c, t, *angle = line.split()
+        assert written_label == (label or "-")
+        assert written_token == token
+        assert c.startswith("c=") and t.startswith("t=")
+        assert (() if c == "c=-" else tuple(c[2:].split(","))) == controls
+        assert t[2:] == target
+        if theta is None:
+            assert angle == []
+        else:
+            key, _, value = angle[0].partition("=")
+            assert (len(angle), key, repr(float(value))) == (1, "theta", repr(theta))
+
+
+def test_format_refuses_an_unwritable_label_before_an_unnamed_gate():
+    unnamed = GateSpec((), 0, gates.X_MATRIX, label="G")
+    with pytest.raises(ValueError, match="^gate 'G' has no named form$"):
+        CircuitProgram(1, (unnamed,), ("q",)).records()
+    with pytest.raises(ValueError, match="^gate 'G' has no named form$"):
+        format_circuit(CircuitProgram(1, (unnamed,), ("q",)))
+    with pytest.raises(ValueError, match="qubit label 'a b' cannot be written"):
+        format_circuit(CircuitProgram(1, (unnamed,), ("a b",)))
 
 
 # Each turns a well-formed gate line into one the parser must reject.
