@@ -33,7 +33,6 @@ from .dicke import (
 )
 from .noise import FidelityMode, fidelity_sweep
 from .protocols import (
-    EXPANSION_LAYOUT,
     _expansion_branch,
     build_d4_prep_circuit,
     build_d4_to_d5_circuit,
@@ -83,7 +82,7 @@ def _expansion_references() -> _References:
     circuit = build_d4_to_d5_circuit()
     oracle = sim.circuit_unitary(circuit)
     oracle.flags.writeable = False
-    flip = sim.gate_unitary(gates.x(EXPANSION_LAYOUT.index("d4")), circuit.n_qubits)
+    flip = sim.gate_unitary(gates.x(circuit.qubit_index("d4")), circuit.n_qubits)
     return _References(
         oracle,
         float(np.max(np.abs(oracle @ flip - flip @ oracle))),

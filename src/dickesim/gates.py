@@ -44,24 +44,25 @@ def _numbers(values) -> np.ndarray:
     return array
 
 
+def _half_angle(theta: float) -> tuple[float, float]:
+    """The cosine and sine of ``theta / 2``, for a finite ``theta``."""
+    if not math.isfinite(theta):
+        raise ValueError("rotation angle must be finite")
+    return math.cos(theta / 2.0), math.sin(theta / 2.0)
+
+
 def rx_matrix(theta: float) -> np.ndarray:
     """Rotation by ``theta`` radians about the X axis of the Bloch sphere.
 
     ``rx_matrix(0)`` is exactly the 2x2 identity.
     """
-    if not math.isfinite(theta):
-        raise ValueError("rotation angle must be finite")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
+    c, s = _half_angle(theta)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
     """Rotation by ``theta`` radians about the Y axis of the Bloch sphere."""
-    if not math.isfinite(theta):
-        raise ValueError("rotation angle must be finite")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
+    c, s = _half_angle(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 

@@ -897,13 +897,13 @@ _reports = st.dictionaries(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_reports, st.booleans())
 def test_reports_render_byte_for_byte_as_through_records(report, sort_keys):
     assert "".join(cli._render_json(report, sort_keys)) == _reference_json(report, sort_keys)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_tables)
 def test_a_table_renders_alone_and_nested(table):
     assert "".join(table.csv()) == _reference_csv(table)
@@ -913,7 +913,7 @@ def test_a_table_renders_alone_and_nested(table):
             assert rendered == _reference_json(report, sort_keys)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=1, max_size=40),
     st.booleans(),
@@ -970,7 +970,7 @@ _ARRAY_EDGES = [0.0, -0.0, 1.0, 0.9999999999995, 1e-4, 9.99999e-5, 1e12, 1.5e15,
                 5e-324, math.inf, -math.inf, math.nan]
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.integers(1, 200),
     st.integers(0, 2**32 - 1),
@@ -1260,7 +1260,7 @@ _TOKENS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.sampled_from(["prepare", "sample", "pmax", "decompose", "sweep", "verify"]),
     st.lists(st.sampled_from(_TOKENS), max_size=8),

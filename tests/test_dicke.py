@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary
 from dickesim import dicke, gates, protocols
 from dickesim.dicke import (
     DECOMPOSITION_ATOL,
@@ -372,13 +373,6 @@ def test_pmax_is_invariant_under_bit_flip_duality():
         assert max_success_probability(dual) == max_success_probability(params), params
 
 
-def haar_unitary(rng, dim):
-    """A random unitary: the Q of a complex Gaussian's QR, each column's phase
-    fixed by R's diagonal."""
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (r.diagonal() / np.abs(r.diagonal()))
-
-
 def test_no_unitary_on_the_accessible_side_raises_any_b_sector():
     # The converse of the bound: a unitary on A, the added qubits and the flag
     # leaves each |D_B^j> sector's weight, summed over both flag values, at
@@ -582,7 +576,7 @@ def split_instances(draw):
     return params, source_order, target_order
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(split_instances())
 def test_decompositions_hold_on_random_splits(instance):
     params, source_order, target_order = instance
@@ -684,7 +678,7 @@ def streamed_cases(draw):
     (1, 15), (1 << 3, 100), (dicke.DECOMPOSITION_BLOCK, 100)])
 def test_streamed_check_matches_the_dense_reference(block, examples):
     # one amplitude per block walks all 2**n blocks in Python, so fewer examples
-    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @settings(max_examples=examples)
     @given(streamed_cases())
     def check(cases):
         for state, a, b, decomposition in cases:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state, random_unitary_2x2
+from conftest import _layouts, haar_unitary, random_state
 from dickesim.dicke import BipartitionParams, decompose_source, dicke_state, verify_decomposition
 from dickesim.gates import GateSpec, is_unitary
 from dickesim.noise import fidelity_sweep
@@ -52,31 +52,6 @@ def _non_numbers(values: np.ndarray) -> tuple:
     return texts, texts.astype(bytes), texts.astype(object)
 
 
-def _nested_tuple(value):
-    return tuple(map(_nested_tuple, value)) if isinstance(value, list) else value
-
-
-def _layouts(base: np.ndarray) -> dict:
-    """``base`` in every layout, each holding the same values."""
-    every = (slice(None, None, 2),) * base.ndim
-    reverse = (slice(None, None, -1),) * base.ndim
-    wide = np.zeros(tuple(2 * s for s in base.shape), dtype=base.dtype)
-    wide[every] = base
-    read_only = base.copy()
-    read_only.flags.writeable = False
-    return {
-        "c": np.ascontiguousarray(base),
-        "fortran": np.asfortranarray(base),
-        "reversed": base[reverse].copy()[reverse],
-        "strided": wide[every],
-        "view": base.copy()[...],
-        "read-only": read_only,
-        "big-endian": base.astype(base.dtype.newbyteorder(">")),
-        "list": base.tolist(),
-        "tuple": _nested_tuple(base.tolist()),
-    }
-
-
 LAYOUTS = tuple(_layouts(np.zeros(1)))
 layout_orders = st.permutations(LAYOUTS)
 
@@ -104,7 +79,7 @@ def assert_every_layout_agrees(call, base, order):
     return native
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(layout_orders, st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_state_vector_takes_any_layout(order, n_qubits, seed):
     amps = random_state(np.random.default_rng(seed), n_qubits).amplitudes
@@ -122,10 +97,10 @@ def test_state_vector_takes_any_layout(order, n_qubits, seed):
         assert assert_every_layout_agrees(call, bad, order) == (ValueError, NOT_NUMBERS)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(layout_orders, st.integers(0, 2**32 - 1))
 def test_gate_spec_and_is_unitary_take_any_layout(order, seed):
-    u = random_unitary_2x2(np.random.default_rng(seed))
+    u = haar_unitary(np.random.default_rng(seed), 2)
 
     def gate(m):
         return GateSpec((0,), 1, m).matrix.tobytes()
@@ -140,7 +115,7 @@ def test_gate_spec_and_is_unitary_take_any_layout(order, seed):
             assert assert_every_layout_agrees(call, bad, order) == (ValueError, NOT_NUMBERS)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(layout_orders, st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
 def test_fidelity_sweep_takes_any_grid_layout(order, angles):
     grid = np.array(angles)
@@ -156,7 +131,7 @@ def test_fidelity_sweep_takes_any_grid_layout(order, angles):
             assert assert_every_layout_agrees(call, bad, order)[0] is ValueError
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(layout_orders, st.integers(2, 6), st.data())
 def test_verify_decomposition_takes_any_index_layout(order, n, data):
     k = data.draw(st.integers(0, n))
@@ -182,7 +157,7 @@ def test_verify_decomposition_takes_any_index_layout(order, n, data):
 NUMPY_INTEGERS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.lists(st.sampled_from(NUMPY_INTEGERS), min_size=5, max_size=5), st.data())
 def test_bipartition_params_and_postselect_take_numpy_integer_scalars(types, data):
     native = dict(total=4, excitations=2, accessible=3, added=1, added_excitations=1)

@@ -242,7 +242,7 @@ def test_sweep_rejects_a_bad_angle_anywhere_before_any_work(monkeypatch, bad, po
         fidelity_sweep(grid)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
     st.sampled_from(list(FidelityMode)),
@@ -252,7 +252,7 @@ def test_spectral_sweep_matches_per_angle_runs_on_random_grids(grid, mode):
     np.testing.assert_allclose(fidelities, per_angle_sweep(grid, mode), rtol=0, atol=1e-14)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=40), st.data())
 def test_one_angle_sweep_equals_that_angle_in_any_grid(grid, data):
     i = data.draw(st.integers(0, len(grid) - 1))

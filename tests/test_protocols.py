@@ -510,7 +510,7 @@ def test_stats_bins_match_born_probabilities():
     assert np.all(np.abs(counts - shots * probs) <= 5 * stderr)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 10**9), st.integers(0, 2**64 - 1))
 def test_stats_histogram_is_consistent(shots, seed):
     stats = run_protocol_stats(shots, seed)
