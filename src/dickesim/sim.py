@@ -11,6 +11,13 @@ consecutive X-type gates is one cached permutation of the basis indices,
 applied as a single gather, and every other gate is applied on its own.
 The gather moves each amplitude bit for bit, as the gates' own slice swaps
 do, so the output is the same byte for byte as gate by gate.
+
+Above ``BLOCK_AMPLITUDES`` amplitudes per slice, a gate runs in blocks over
+its leading free qubits. A gate whose lowest qubit is ``n - 2`` also fixes
+the last qubit as a block bit: its slices would otherwise be runs of 2
+contiguous amplitudes, which numpy iterates two at a time, while each half
+is one long run of stride 4. Every other gate keeps its blocks: splitting
+contiguous runs of 4 or more amplitudes the same way measured slower.
 """
 from __future__ import annotations
 
@@ -175,8 +182,14 @@ def _apply_gate_slices(psi: np.ndarray, n_qubits: int, gate: GateSpec, u: np.nda
     amplitudes, the gate runs block by block over the bit patterns of the
     leading free qubits (neither control nor target), so each block's
     operands and temporaries stay in the L2 cache instead of streaming
-    through memory once per operation. Blocking only splits the same
-    elementwise expressions, so results do not depend on the block size.
+    through memory once per operation. If the gate's lowest qubit is
+    ``n_qubits - 2``, the last qubit is fixed too, as the fastest-varying
+    block bit: each block's slice is then one run of stride 4 instead of
+    runs of 2 contiguous amplitudes, which cost about twice as much per
+    amplitude. Fixing a higher qubit to break up runs of 4 or more measured
+    slower, so those gates keep the leading blocks alone. Blocking only
+    splits the same elementwise expressions, so results do not depend on
+    the blocks.
     """
     fixed = [(c, 1) for c in gate.controls]
     blocks = [fixed]
@@ -186,6 +199,9 @@ def _apply_gate_slices(psi: np.ndarray, n_qubits: int, gate: GateSpec, u: np.nda
         # BLOCK_AMPLITUDES, or all of them if the batch alone is larger.
         free = [q for q in range(n_qubits) if q not in gate.qubits]
         split = free[: (-(-size // BLOCK_AMPLITUDES) - 1).bit_length()]
+        # A split that already holds the last qubit (a large batch) keeps it once.
+        if max(gate.qubits) == n_qubits - 2 and split[-1] != n_qubits - 1:
+            split.append(n_qubits - 1)
         blocks = [
             fixed + list(zip(split, bits)) for bits in product((0, 1), repeat=len(split))
         ]
@@ -285,6 +301,13 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
     Returns ``(probability, collapsed_state)``. Raises if the branch
     probability is below the impossible-branch threshold. ``qubit`` and
     ``outcome`` must be integers; a float or bool raises ``TypeError``.
+
+    The branch is copied into a zeroed output. The probability is one dot
+    product ``f @ f`` of the output's float view ``f``, as
+    :func:`_check_normalized` takes a norm, and ``f`` is then multiplied in
+    place by ``1 / sqrt(probability)``. That is numpy's complex-by-real
+    division up to the sign of a zero, and every amplitude outside the
+    branch stays ``+0.0``.
     """
     qubit, outcome = _index(qubit), _index(outcome)
     if not 0 <= qubit < state.n_qubits:
@@ -293,10 +316,12 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[float, Sta
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
     branch = _axis_index(state.n_qubits, [(qubit, outcome)])
-    prob = float(np.sum(np.abs(psi[branch]) ** 2))
-    _check_branch(prob, qubit, outcome)
     amps = np.zeros(psi.size, dtype=complex)
-    np.divide(psi[branch], math.sqrt(prob), out=amps.reshape(psi.shape)[branch])
+    amps.reshape(psi.shape)[branch] = psi[branch]
+    f = amps.view(float)
+    prob = float(f @ f)
+    _check_branch(prob, qubit, outcome)
+    f *= 1 / math.sqrt(prob)
     amps.flags.writeable = False
     return prob, StateVector(state.n_qubits, amps)
 

@@ -418,12 +418,18 @@ def test_blocked_kernel_is_byte_identical_at_any_block_size(monkeypatch, block):
 def test_default_blocks_leave_a_large_register_byte_identical(monkeypatch):
     rng = np.random.default_rng(41)
     n = 16
-    circuit_gates = random_named_circuit(rng, n, 24).gates
+    # gates whose lowest qubit is n - 2 also fix the last qubit as a block
+    # bit: an arithmetic gate on it, a gate controlled on it and a swap on it
+    on_last_but_one = (gates.ry(0.7, n - 2), gates.ch(n - 2, 5), gates.x(n - 2))
+    circuit_gates = random_named_circuit(rng, n, 24).gates + on_last_but_one
     assert any(not gate.controls for gate in circuit_gates)  # slices of 2^15 get split
-    psi = dicke_state(n, 8).amplitudes.reshape((2,) * n)
-    blocked = evolved_bytes(psi, n, circuit_gates)
+    psi = signed_zero_amplitudes(rng, (1 << n,))
+    psi = (psi / np.linalg.norm(psi)).reshape((2,) * n)
+    # four rows also split the 2^16-amplitude slices of one-control gates
+    batch = signed_zero_amplitudes(rng, (4,) + (2,) * n)
+    blocked = [evolved_bytes(amps, n, circuit_gates) for amps in (psi, batch)]
     monkeypatch.setattr(sim, "BLOCK_AMPLITUDES", 1 << 62)
-    assert evolved_bytes(psi, n, circuit_gates) == blocked
+    assert [evolved_bytes(amps, n, circuit_gates) for amps in (psi, batch)] == blocked
 
 
 @pytest.mark.parametrize(
@@ -563,21 +569,24 @@ def test_postselect_rejects_bad_qubit_or_outcome():
 
 
 def test_branch_selection_on_every_qubit():
-    # postselect against bit arithmetic on the flat index
+    # postselect against bit arithmetic on the flat index, also on registers
+    # above BLOCK_AMPLITUDES
     rng = np.random.default_rng(17)
-    for n in range(2, 7):
+    for n in (2, 3, 4, 5, 6, 15, 16):
+        index = np.arange(1 << n)
         for _ in range(3):
             state = random_state(rng, n)
             for qubit in range(n):
-                shift = n - 1 - qubit
                 for outcome in (0, 1):
-                    kept = [i for i in range(1 << n) if (i >> shift) & 1 == outcome]
-                    prob = sum(abs(state.amplitudes[i]) ** 2 for i in kept)
-                    expected = np.zeros(1 << n, dtype=complex)
-                    expected[kept] = state.amplitudes[kept] / math.sqrt(prob)
+                    kept = (index >> (n - 1 - qubit)) & 1 == outcome
+                    prob = np.sum(np.abs(state.amplitudes[kept]) ** 2)
+                    expected = np.where(kept, state.amplitudes / math.sqrt(prob), 0)
                     probability, collapsed = postselect(state, qubit, outcome)
                     assert probability == pytest.approx(prob, abs=1e-12)
                     np.testing.assert_allclose(collapsed.amplitudes, expected, atol=1e-12)
+                    # every amplitude outside the branch is +0.0
+                    outside = collapsed.amplitudes[~kept].view(float)
+                    assert not np.any(outside) and not np.any(np.signbit(outside))
 
 
 # ---------------------------------------------------------------------------
