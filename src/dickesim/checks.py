@@ -27,8 +27,6 @@ from .dicke import (
     dicke_state,
     max_success_probability,
     verify_decomposition,
-    w_state,
-    wbar_state,
     wlike_state,
 )
 from .noise import FidelityMode, fidelity_sweep
@@ -124,12 +122,12 @@ def run_all_checks() -> list[Check]:
     eq("separated_purity", 1.0, purity, 1e-10)
 
     # Overlap of the W-like remnant with the two-excitation 3-qubit state.
-    overlap = fidelity_pure(remnant, wbar_state(3))
+    overlap = fidelity_pure(remnant, dicke_state(3, 2))
     eq("remnant_overlap", (1.0 + 1.0 / math.sqrt(2.0)) ** 2 / 3.0, overlap, 1e-12)
 
     # Deterministic preparation chain.
     w3 = apply_circuit(new_basis_state(3, "000"), build_w3_circuit())
-    ge("w3_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(w3, w_state(3)))
+    ge("w3_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(w3, dicke_state(3, 1)))
     d4_prep = build_d4_prep_circuit()
     d4 = apply_circuit(new_basis_state(4, "0000"), d4_prep)
     ge("d4_preparation_fidelity", 1.0 - 1e-10, fidelity_pure(d4, d4_state))

@@ -229,15 +229,16 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Write ``chunks`` one at a time to --out atomically, as UTF-8, or to stdout.
 
     A symlink at --out is followed and stays; the path it resolves to is
-    written. The chunks stream into a new ``.dickesim-*`` file beside that
-    path, unlinked if a chunk fails to render. An existing file is swapped with
-    it in one Linux ``renameat2(RENAME_EXCHANGE)`` call, and the temporary name,
-    which then holds the old file, is unlinked; a fresh path, other systems and
-    a refused exchange take ``os.replace``. Readers see the whole old file or
-    the whole new one. A crash between the exchange and the unlink can leave
-    one ``.dickesim-*`` file, which holds the old content. Anything else is
-    opened in place: a FIFO or a device is written into, and a directory fails
-    the open with ``IsADirectoryError`` naming --out before anything is written.
+    written. The chunks stream into a new ``.dickesim-*`` file in its directory
+    as the kernel resolves it (``ln/../x`` lies in the parent of symlink ``ln``'s
+    target), unlinked if a chunk fails to render. An existing file is swapped
+    with it in one Linux ``renameat2(RENAME_EXCHANGE)`` call, and the temporary
+    name, which then holds the old file, is unlinked; a fresh path, other
+    systems and a refused exchange take ``os.replace``. Readers see the whole
+    old file or the whole new one. A crash between the exchange and the unlink
+    can leave one ``.dickesim-*`` file, which holds the old content. Anything
+    else is opened in place: a FIFO or a device is written into, and a directory
+    fails the open with ``IsADirectoryError`` naming --out before it is written.
     """
     if args.out is None:
         sys.stdout.writelines(chunks)
@@ -250,8 +251,7 @@ def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
         _write_chunks(os.open(args.out, os.O_WRONLY), chunks)
         return
     out = os.path.realpath(args.out) if os.path.islink(args.out) else args.out
-    directory = os.path.dirname(os.path.abspath(out))
-    tmp_path = os.path.join(directory, f".dickesim-{os.urandom(8).hex()}")
+    tmp_path = os.path.join(os.path.dirname(out), f".dickesim-{os.urandom(8).hex()}")
     try:
         # Mode 0o666 less the umask, as a plain open gives (mkstemp would give 0600).
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -329,6 +329,7 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Write the histogram; its summary line goes to stdout unless the histogram does."""
     if not 1 <= args.shots <= MAX_SHOTS:
         parser.error(f"--shots must be between 1 and {MAX_SHOTS}")
     stats = run_protocol_stats(args.shots, args.seed)
@@ -352,14 +353,18 @@ def cmd_sample(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "p_s_z": float(_fmt(z)),
         "rows": table,
     }
+    # Asked before the write, which replaces a regular file that fd 1 is open on.
+    try:
+        on_stdout = not args.out or os.path.samestat(os.stat(args.out), os.fstat(1))
+    except OSError:  # a fresh --out, or fd 1 closed
+        on_stdout = False
     _emit(args, outputs, table)
     summary = (
         f"shots={stats.shots} successes={stats.successes} "
         f"estimated_p_s={p_hat:.6f} p_s_stderr={stderr:.6f} p_s_z={z:.3f} "
         f"(reference 5/6 = {_fmt(p_ref)})"
     )
-    # Keep stdout machine-readable when the table itself goes to stdout.
-    print(summary, file=sys.stdout if args.out else sys.stderr)
+    print(summary, file=sys.stderr if on_stdout else sys.stdout)
     return 0
 
 
@@ -522,23 +527,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, subparsers.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's top-level parser. It passes the words after a subcommand's name
-    to that subcommand's parser, which ``main`` calls directly when it can."""
-    return _parsers()[0]
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command line; a line led by a subcommand is parsed by that subcommand alone."""
     argv = sys.argv[1:] if argv is None else argv
-    sub = _parsers()[1].get(argv[0]) if argv else None
-    args = sub.parse_args(argv[1:]) if sub else build_parser().parse_args(argv)
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -70,20 +70,6 @@ def _popcount_table() -> np.ndarray:
     return table
 
 
-def w_state(n: int) -> StateVector:
-    """Single-excitation Dicke state, e.g. (|001> + |010> + |100>)/sqrt(3)."""
-    if n < 2:
-        raise ValueError("w_state needs at least two qubits")
-    return dicke_state(n, 1)
-
-
-def wbar_state(n: int) -> StateVector:
-    """(n-1)-excitation Dicke state; the bit-flip image of w_state(n)."""
-    if n < 2:
-        raise ValueError("wbar_state needs at least two qubits")
-    return dicke_state(n, n - 1)
-
-
 def wlike_state() -> StateVector:
     """The 3-qubit remnant left by a failed expansion:
     |110>/2 + |101>/2 + |011>/sqrt(2)."""

@@ -16,8 +16,6 @@ from dickesim.dicke import (
     dicke_state,
     max_success_probability,
     verify_decomposition,
-    w_state,
-    wbar_state,
     wlike_state,
 )
 from dickesim.noise import FidelityMode, fidelity_sweep
@@ -77,7 +75,7 @@ def test_criterion_3_recyclable_branch():
 
 def test_criterion_4_overlap_claim():
     """|<2-excitation state|W-like remnant>|^2 = (1 + 1/sqrt(2))^2 / 3."""
-    overlap = fidelity_pure(wbar_state(3), wlike_state())
+    overlap = fidelity_pure(dicke_state(3, 2), wlike_state())
     assert abs(overlap - (1 + 1 / math.sqrt(2)) ** 2 / 3) <= 1e-12
     assert abs(overlap - 0.97) <= 0.005
     report("4 remnant overlap 0.9714")
@@ -86,7 +84,7 @@ def test_criterion_4_overlap_claim():
 def test_criterion_5_deterministic_expansion():
     """The 4-qubit expansion is exact with 3 two-qubit gates; 6 in total with prep."""
     expansion = build_w3_to_d4_circuit()
-    source = StateVector(4, np.kron(w_state(3).amplitudes, [1, 0]))
+    source = StateVector(4, np.kron(dicke_state(3, 1).amplitudes, [1, 0]))
     out = apply_circuit(source, expansion)
     assert fidelity_pure(out, dicke_state(4, 2)) >= 1 - 1e-10
     assert expansion.count_gates(1) == 3

@@ -560,8 +560,9 @@ def test_warm_checks_build_each_fixed_state_once(fresh_references, monkeypatch):
 
     monkeypatch.setattr(fresh_references, "dicke_state", counting)
     assert fresh_references.run_all_checks() == cold
-    # D(4, 2) and D(5, 3), each shared by every check that needs it
-    assert sorted(built) == [(4, 2), (5, 3)]
+    # D(4, 2) and D(5, 3), each shared by every check that needs it, and the
+    # W states D(3, 1) and D(3, 2), each read by one check
+    assert sorted(built) == [(3, 1), (3, 2), (4, 2), (5, 3)]
     # the popcount table behind every Dicke state: one build, then reads only
     assert dicke._popcount_table.cache_info().misses == 1
     table = dicke._popcount_table()
@@ -737,6 +738,30 @@ def test_out_through_an_open_descriptor_replaces_its_file(tmp_path):
     assert out.is_symlink()
     assert target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "target.txt"]
+
+
+def test_the_temporary_file_goes_where_the_kernel_resolves_out(tmp_path, monkeypatch):
+    # ro/ln/../x.csv names a/x.csv; lexically it would be ro/x.csv.
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "ro").mkdir()
+    (tmp_path / "ro" / "ln").symlink_to("../a/b")
+    monkeypatch.chdir(tmp_path)
+    created = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if flags & os.O_CREAT:
+            created.append(os.path.samefile(os.path.dirname(path), tmp_path / "a"))
+        return fd
+
+    monkeypatch.setattr(os, "open", spy)
+    assert run_cli(["prepare", "w3", "--out", "ro/ln/../x.csv"]) == 0
+    assert created == [True]
+    assert (tmp_path / "a" / "x.csv").read_text().startswith("index,bitstring,re,im\n")
+    assert list(tmp_path.rglob(".dickesim-*")) == []
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "x.csv"]
+    assert [p.name for p in (tmp_path / "ro").iterdir()] == ["ln"]
 
 
 @pytest.mark.parametrize("missing", ["platform", "libc"])
@@ -1199,7 +1224,7 @@ def _main_and_old_parse(argv):
         return seen.pop()
 
     def old_parse(argv):
-        args, extra = cli.build_parser().parse_known_args(argv)
+        args, extra = cli._parsers()[0].parse_known_args(argv)
         if extra:
             subcommands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
         return vars(args)
@@ -1297,14 +1322,38 @@ def test_version_flag(capsys):
     assert "dickesim" in capsys.readouterr().out
 
 
+def _fresh_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def fresh_python(code):
     """Standard output of ``code`` run by a fresh interpreter on ``src``."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                             text=True, check=True)
     return result.stdout.splitlines()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("into", ["pipe", "file"])
+def test_sample_out_dev_stdout_matches_its_golden(tmp_path, into):
+    # The histogram goes to stdout through --out, so the summary goes to
+    # stderr, as without --out; a redirected file is replaced, not appended to.
+    argv = [sys.executable, "-m", "dickesim", "sample", "--shots", "1000", "--seed", "42",
+            "--out", "/dev/stdout"]
+    golden = Path(__file__).parent / "golden" / "sample_csv"
+    kwargs = dict(env=_fresh_env(), cwd=tmp_path, stderr=subprocess.PIPE, check=True)
+    if into == "pipe":
+        result = subprocess.run(argv, stdout=subprocess.PIPE, **kwargs)
+        stdout = result.stdout
+    else:
+        with open(tmp_path / "stdout", "wb") as handle:
+            result = subprocess.run(argv, stdout=handle, **kwargs)
+        stdout = (tmp_path / "stdout").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["stdout"]
+    assert stdout == (golden / "stdout").read_bytes()
+    assert result.stderr == (golden / "stderr").read_bytes()
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():

@@ -22,8 +22,6 @@ from dickesim.dicke import (
     dicke_state,
     max_success_probability,
     verify_decomposition,
-    w_state,
-    wbar_state,
     wlike_state,
 )
 from dickesim.sim import NORM_ATOL, StateVector, apply_gate, fidelity_pure
@@ -113,10 +111,6 @@ def test_dicke_22_11_passes_its_norm_check():
     assert abs(norm - 1.0) <= NORM_ATOL
 
 
-def test_dicke_single_excitation_is_w_state():
-    np.testing.assert_array_equal(dicke_state(3, 1).amplitudes, w_state(3).amplitudes)
-
-
 def test_dicke_rejects_bad_args():
     with pytest.raises(ValueError):
         dicke_state(3, 4)
@@ -124,30 +118,26 @@ def test_dicke_rejects_bad_args():
         dicke_state(3, -1)
     with pytest.raises(ValueError):
         dicke_state(0, 0)
-    with pytest.raises(ValueError):
-        w_state(1)
-    with pytest.raises(ValueError):
-        wbar_state(1)
 
 
 def test_w4_amplitudes():
-    state = w_state(4)
+    state = dicke_state(4, 1)
     for bits in ("0001", "0010", "0100", "1000"):
         assert state.amplitudes[int(bits, 2)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_w2_is_bell_like():
-    state = w_state(2)
+    state = dicke_state(2, 1)
     np.testing.assert_allclose(
         state.amplitudes, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15
     )
 
 
 def test_wbar_is_bit_flip_of_w():
-    flipped = w_state(3)
+    flipped = dicke_state(3, 1)
     for qubit in range(3):
         flipped = apply_gate(flipped, gates.x(qubit))
-    np.testing.assert_array_equal(flipped.amplitudes, wbar_state(3).amplitudes)
+    np.testing.assert_array_equal(flipped.amplitudes, dicke_state(3, 2).amplitudes)
 
 
 def test_wlike_amplitudes():
@@ -160,7 +150,7 @@ def test_wlike_amplitudes():
 
 
 def test_wlike_overlap_with_wbar():
-    overlap = fidelity_pure(wlike_state(), wbar_state(3))
+    overlap = fidelity_pure(wlike_state(), dicke_state(3, 2))
     assert overlap == pytest.approx((1 + 1 / math.sqrt(2)) ** 2 / 3, abs=1e-12)
     assert overlap == pytest.approx(0.9714, abs=1e-4)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from dickesim import gates, protocols
-from dickesim.dicke import dicke_state, w_state, wlike_state
+from dickesim.dicke import dicke_state, wlike_state
 from dickesim.gates import CircuitProgram
 from dickesim.protocols import (
     build_d4_prep_circuit,
@@ -44,7 +44,7 @@ SQRT1_2 = 1 / math.sqrt(2)
 
 def test_w3_circuit_prepares_w_state():
     out = apply_circuit(new_basis_state(3, "000"), build_w3_circuit())
-    assert fidelity_pure(out, w_state(3)) >= 1 - 1e-10
+    assert fidelity_pure(out, dicke_state(3, 1)) >= 1 - 1e-10
 
 
 def test_w3_circuit_uses_three_two_qubit_gates():
@@ -62,7 +62,7 @@ def test_w3_circuit_unitary_is_unitary():
 
 def test_w3_to_d4_maps_w_state_to_dicke():
     four = apply_circuit(
-        StateVector(4, np.kron(w_state(3).amplitudes, [1, 0])),
+        StateVector(4, np.kron(dicke_state(3, 1).amplitudes, [1, 0])),
         build_w3_to_d4_circuit(),
     )
     assert fidelity_pure(four, dicke_state(4, 2)) >= 1 - 1e-10
@@ -90,7 +90,7 @@ def test_w3_to_d4_deterministic_across_phases():
     rng = np.random.default_rng(41)
     for _ in range(100):
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        source = StateVector(4, np.kron(w_state(3).amplitudes * phase, [1, 0]))
+        source = StateVector(4, np.kron(dicke_state(3, 1).amplitudes * phase, [1, 0]))
         out = apply_circuit(source, circuit)
         assert fidelity_pure(out, dicke_state(4, 2)) == pytest.approx(1.0, abs=1e-12)
 
@@ -356,7 +356,7 @@ def test_success_state_is_permutation_symmetric():
 
 
 def test_recycling_w_state_rebuilds_dicke():
-    assert fidelity_pure(run_recycling(w_state(3)), dicke_state(4, 2)) >= 1 - 1e-10
+    assert fidelity_pure(run_recycling(dicke_state(3, 1)), dicke_state(4, 2)) >= 1 - 1e-10
 
 
 def test_recycling_all_zeros():
